@@ -6,20 +6,12 @@ factor layout, a converter to the LEU form, and instrumented counters for the
 delayed-modular-reduction cost model.
 """
 
-from .field import FieldElement, PrimeField, inverse_mod, is_prime
+from .field import PrimeField, inverse_mod, is_prime
 from .iterative import pluq_iterative
 from .kernels import ClassicalKernels
 from .leu import LeuFactors, check_triangular_extension, to_leu
-from .matgen import gen_full_rank_generic, gen_rank_deficient_leu, gen_rank_deficient_rect
-from .matrix import (
-    DenseMatrix,
-    OpCounts,
-    Permutation,
-    PluqFactors,
-    apply_cols,
-    apply_rows,
-    perm_block_diag,
-)
+from .matgen import gen_full_rank_generic, gen_rank_deficient_rect
+from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
 from .oracle import (
     LeadingProfileTable,
     PleFactors,
@@ -32,16 +24,7 @@ from .oracle import (
     row_rank_profile_naive,
 )
 from .rank_profile import col_rank_profile, leading_rank_profiles, row_rank_profile
-from .recursive import (
-    DEFAULT_THRESHOLD,
-    TrackingWorkspace,
-    Workspace,
-    base_case_col,
-    base_case_row,
-    build_s_perm,
-    build_t_perm,
-    pluq,
-)
+from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, Workspace, pluq
 
 __version__ = "0.1.0"
 
@@ -49,7 +32,6 @@ __all__ = [
     "ClassicalKernels",
     "DenseMatrix",
     "DEFAULT_THRESHOLD",
-    "FieldElement",
     "LeadingProfileTable",
     "LeuFactors",
     "OpCounts",
@@ -60,22 +42,14 @@ __all__ = [
     "TrackingWorkspace",
     "Workspace",
     "all_leading_rank_profiles_naive",
-    "apply_cols",
-    "apply_rows",
-    "base_case_col",
-    "base_case_row",
-    "build_s_perm",
-    "build_t_perm",
     "check_triangular_extension",
     "col_rank_profile",
     "col_rank_profile_naive",
     "gen_full_rank_generic",
-    "gen_rank_deficient_leu",
     "gen_rank_deficient_rect",
     "inverse_mod",
     "is_prime",
     "leading_rank_profiles",
-    "perm_block_diag",
     "ple_row_major",
     "pluq",
     "pluq_iterative",

@@ -198,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--leading", nargs=2, type=int, metavar=("K", "T"))
     p.add_argument("--all-leading", action="store_true")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
     add_algo(p)
     p.set_defaults(func=cmd_rank_profile)

@@ -9,7 +9,6 @@ otherwise), reducing once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -63,14 +62,17 @@ class PrimeField:
     __slots__ = ("p", "dtype", "max_accumulate")
 
     def __init__(self, p: int, *, allow_large_modulus: bool = False):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int):
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
+        # the bound first: trial division on a huge modulus would not finish
         bound = ABSOLUTE_MODULUS_BOUND if allow_large_modulus else DEFAULT_MODULUS_BOUND
         if p >= bound:
             raise ValueError(
                 f"modulus {p} exceeds the bound {bound}; pass allow_large_modulus=True "
                 f"for p up to 2**31 (per-product reduction)"
             )
+        if not is_prime(p):
+            raise ValueError(f"modulus must be a prime integer, got {p!r}")
         self.p = p
         sq = (p - 1) ** 2
         if sq * 8192 <= _F64_EXACT:
@@ -89,57 +91,14 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    # -- scalar operations --------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value) % self.p, self)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        return inverse_mod(a, self.p)
-
-    def dot_accumulate(self, u, v, counts=None) -> int:
-        """Canonical residue of sum(u_i * v_i) with delayed reduction.
-
-        One reduction is charged for the whole sum; if the length exceeds the
-        overflow-safe bound the sum is chunked and each extra flush charges one
-        more reduction.
-        """
-        uu = [e.value if isinstance(e, FieldElement) else int(e) % self.p for e in u]
-        vv = [e.value if isinstance(e, FieldElement) else int(e) % self.p for e in v]
-        if len(uu) != len(vv):
-            raise ValueError(f"dot product length mismatch: {len(uu)} vs {len(vv)}")
-        chunk = self.max_accumulate
-        acc = 0
-        reductions = 0
-        for lo in range(0, len(uu), chunk):
-            acc = sum((a * b for a, b in zip(uu[lo : lo + chunk], vv[lo : lo + chunk])), acc) % self.p
-            reductions += 1
-        if not uu:
-            acc %= self.p
-            reductions = 1
-        if counts is not None:
-            counts.field_mul += len(uu)
-            counts.field_add += max(0, len(uu) - 1)
-            counts.modular_reductions += reductions
-        return acc
-
     # -- numpy helpers ------------------------------------------------------
 
     def asarray(self, values) -> np.ndarray:
         """Validated canonical-residue array in this field's storage dtype."""
         arr = np.asarray(values)
+        # NaN fails only the integrality test, +-inf only the range test
+        if arr.dtype.kind == "f" and np.any(arr != np.floor(arr)):
+            raise ValueError("entries must be integers")
         if arr.size and (np.any(arr < 0) or np.any(arr >= self.p)):
             raise ValueError(f"entries must be canonical residues in [0, {self.p})")
         if arr.dtype != self.dtype:
@@ -160,45 +119,3 @@ class PrimeField:
             out %= self.p
         return out
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Canonical residue 0 <= value < p with operator sugar for small-scale use.
-
-    The dense kernels work on raw arrays; this wrapper exists for the scalar
-    API and the brute-force oracles.
-    """
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(f"{self.value} is not a canonical residue mod {self.field.p}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise ValueError(f"mismatched moduli: {self.field.p} vs {other.field.p}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value

@@ -71,7 +71,3 @@ def gen_rank_deficient_rect(m: int, n: int, r: int, p: int, seed: int) -> DenseM
     data = field.matmul_mod(field.matmul_mod(field.asarray(l), field.asarray(e)), field.asarray(u))
     return DenseMatrix(field, data)
 
-
-def gen_rank_deficient_leu(n: int, r: int, p: int, seed: int) -> DenseMatrix:
-    """Square case of `gen_rank_deficient_rect` (the benchmark family)."""
-    return gen_rank_deficient_rect(n, n, r, p, seed)

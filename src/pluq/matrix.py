@@ -46,9 +46,6 @@ class OpCounts:
             "modular_reductions": self.modular_reductions,
         }
 
-    def copy(self) -> "OpCounts":
-        return OpCounts(**self.as_dict())
-
 
 class DenseMatrix:
     """Row-major m x n matrix of canonical residues mod p.
@@ -76,14 +73,6 @@ class DenseMatrix:
     @classmethod
     def identity(cls, n: int, field: PrimeField) -> "DenseMatrix":
         return cls(field, np.eye(n, dtype=field.dtype))
-
-    @classmethod
-    def from_rows(cls, rows, p: int) -> "DenseMatrix":
-        field = PrimeField(p)
-        arr = np.array(rows, dtype=field.dtype)
-        if arr.ndim == 1:
-            arr = arr.reshape(len(rows), 0)
-        return cls(field, arr)
 
     # -- basics -----------------------------------------------------------
 
@@ -123,15 +112,6 @@ class DenseMatrix:
             raise ValueError(f"leading block ({k},{t}) out of range for {self.m}x{self.n}")
         return DenseMatrix(self.field, self.data[:k, :t].copy())
 
-    def quadrant_views(self, row_split: int | None = None, col_split: int | None = None):
-        """Four in-place block views split at (m//2, n//2) by default."""
-        kr = self.m // 2 if row_split is None else row_split
-        kc = self.n // 2 if col_split is None else col_split
-        if not (0 <= kr <= self.m and 0 <= kc <= self.n):
-            raise ValueError("split out of range")
-        a = self.data
-        return a[:kr, :kc], a[:kr, kc:], a[kr:, :kc], a[kr:, kc:]
-
     # -- text format --------------------------------------------------------
     # Line 1: "m n p"; then m lines of n residues in [0, p).
 
@@ -161,7 +141,10 @@ class DenseMatrix:
             vals = [int(x) for x in ln.split()]
             if len(vals) != n:
                 raise ValueError(f"row {i} has {len(vals)} entries, expected {n}")
-            rows[i] = vals
+            try:
+                rows[i] = vals
+            except OverflowError:
+                raise ValueError(f"row {i} has an entry outside the int64 range") from None
         return cls(field, rows)  # asarray rejects out-of-range residues
 
 
@@ -188,14 +171,6 @@ class Permutation:
     def identity(cls, s: int) -> "Permutation":
         return cls(np.arange(s, dtype=np.int64))
 
-    @classmethod
-    def transposition(cls, s: int, k: int, l: int) -> "Permutation":
-        if not (0 <= k < s and 0 <= l < s):
-            raise ValueError(f"transposition indices ({k},{l}) out of range for size {s}")
-        sigma = np.arange(s, dtype=np.int64)
-        sigma[k], sigma[l] = l, k
-        return cls(sigma)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and bool(np.array_equal(other.sigma, self.sigma))
 
@@ -216,14 +191,6 @@ class Permutation:
         inv[self.sigma] = np.arange(self.size, dtype=np.int64)
         return Permutation(inv)
 
-    def embed(self, offset: int, total: int) -> "Permutation":
-        """This permutation acting on [offset, offset+size) inside an identity."""
-        if offset < 0 or offset + self.size > total:
-            raise ValueError("embedding out of range")
-        sigma = np.arange(total, dtype=np.int64)
-        sigma[offset : offset + self.size] = self.sigma + offset
-        return Permutation(sigma)
-
     def to_matrix(self, field: PrimeField) -> DenseMatrix:
         """Explicit 0/1 matrix; test and oracle use only."""
         s = self.size
@@ -239,7 +206,10 @@ class Permutation:
         vals = [int(x) for x in text.split()]
         if size is not None and len(vals) != size:
             raise ValueError(f"expected permutation of size {size}, got {len(vals)} indices")
-        return cls(np.asarray(vals, dtype=np.int64))
+        try:
+            return cls(np.asarray(vals, dtype=np.int64))
+        except OverflowError:
+            raise ValueError("permutation index outside the int64 range") from None
 
 
 def perm_block_diag(perms: list[Permutation]) -> Permutation:

@@ -9,15 +9,16 @@ the packed [L\\U, V; M, 0] layout.  Everything runs inside the input storage;
 the one licensed scratch buffer is the copy of the block that a triangular
 solve would otherwise destroy, of size r3 x r2.
 
-Below the ``threshold`` the iterative Z-curve algorithm takes over; single
-rows and columns are handled directly.
+A block with at most ``threshold`` rows or columns, which includes every
+single row and column, goes to the iterative Z-curve algorithm.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .field import inverse_mod
 from .iterative import _decompose_inplace
 from .kernels import ClassicalKernels
 from .matrix import (
@@ -99,61 +100,18 @@ def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutat
     return Permutation(sigma)
 
 
-def _front_rotation(size: int, idx: int) -> Permutation:
-    # Cycle moving index `idx` to the front, shifting 0..idx-1 back by one.
-    # An order-preserving move, unlike a plain swap: the remaining indices keep
-    # their relative order, which both the rank-profile property and the
-    # triangular-extension property depend on.
-    sigma = np.arange(size, dtype=np.int64)
-    sigma[: idx + 1] = np.roll(sigma[: idx + 1], 1)
-    return Permutation(sigma)
+@dataclass(frozen=True, slots=True)
+class _Ctx:
+    """What every recursion node shares: the modulus, the crossover, the
+    collaborators, and the two permutation line buffers."""
 
-
-def base_case_row(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
-    """1 x n case: move the first nonzero entry to the front."""
-    counts = counts if counts is not None else OpCounts()
-    p_perm, q_perm, rank = _base_row(a.data, a.p, counts)
-    return PluqFactors(p_perm, q_perm, rank, a)
-
-
-def base_case_col(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
-    """m x 1 case: move the first nonzero entry up, scale the rest by its inverse."""
-    counts = counts if counts is not None else OpCounts()
-    p_perm, q_perm, rank = _base_col(a.data, a.p, counts)
-    return PluqFactors(p_perm, q_perm, rank, a)
-
-
-def _base_row(data: np.ndarray, p: int, counts: OpCounts):
-    n = data.shape[1]
-    nz = np.nonzero(data[0])[0]
-    if nz.size == 0:
-        return Permutation.identity(1), Permutation.identity(n), 0
-    j = int(nz[0])
-    if j:
-        # entries 0..j-1 are zero, so rotating equals swapping the two values
-        data[0, 0], data[0, j] = data[0, j], data[0, 0]
-    return Permutation.identity(1), _front_rotation(n, j), 1
-
-
-def _base_col(data: np.ndarray, p: int, counts: OpCounts):
-    m = data.shape[0]
-    nz = np.nonzero(data[:, 0])[0]
-    if nz.size == 0:
-        return Permutation.identity(m), Permutation.identity(1), 0
-    i = int(nz[0])
-    if i:
-        data[0, 0], data[i, 0] = data[i, 0], data[0, 0]
-    below = m - i - 1
-    if below:
-        inv_piv = inverse_mod(int(data[0, 0]), p)
-        counts.field_inv += 1
-        data[i + 1 :, 0] = (data[i + 1 :, 0] * inv_piv) % p
-        counts.field_mul += below
-        counts.modular_reductions += below
-    # row rotation: original row i comes first, rows 0..i-1 (all zero) follow
-    sigma = np.arange(m, dtype=np.int64)
-    sigma[: i + 1] = np.roll(sigma[: i + 1], -1)
-    return Permutation(sigma), Permutation.identity(1), 1
+    p: int
+    threshold: int
+    counts: OpCounts
+    kernels: ClassicalKernels
+    ws: Workspace
+    rowbuf: np.ndarray
+    colbuf: np.ndarray
 
 
 def pluq(
@@ -170,34 +128,36 @@ def pluq(
     """
     if threshold < 1:
         raise ValueError("threshold must be a positive integer")
-    counts = counts if counts is not None else OpCounts()
-    kernels = kernels if kernels is not None else ClassicalKernels(a.field)
     ws = workspace if workspace is not None else Workspace()
-    rowbuf = ws.element_buffer(a.n, a.field.dtype)
-    colbuf = ws.element_buffer(a.m, a.field.dtype)
+    ctx = _Ctx(
+        p=a.p,
+        threshold=threshold,
+        counts=counts if counts is not None else OpCounts(),
+        kernels=kernels if kernels is not None else ClassicalKernels(a.field),
+        ws=ws,
+        rowbuf=ws.element_buffer(a.n, a.field.dtype),
+        colbuf=ws.element_buffer(a.m, a.field.dtype),
+    )
     try:
-        p_perm, q_perm, rank = _pluq_rec(a.data, a.p, threshold, counts, kernels, ws, rowbuf, colbuf)
+        p_perm, q_perm, rank = _pluq_rec(a.data, ctx)
     finally:
-        ws.release(rowbuf)
-        ws.release(colbuf)
+        ws.release(ctx.rowbuf)
+        ws.release(ctx.colbuf)
     return PluqFactors(p_perm, q_perm, rank, a)
 
 
-def _pluq_rec(data, p, threshold, counts, kernels, ws, rowbuf, colbuf):
+def _pluq_rec(data, ctx):
     m, n = data.shape
     if m == 0 or n == 0:
         return Permutation.identity(m), Permutation.identity(n), 0
-    if m == 1:
-        return _base_row(data, p, counts)
-    if n == 1:
-        return _base_col(data, p, counts)
-    if min(m, n) <= threshold:
-        return _decompose_inplace(data, p, counts)
+    if min(m, n) <= ctx.threshold:
+        return _decompose_inplace(data, ctx.p, ctx.counts)
+    counts, kernels, rowbuf, colbuf = ctx.counts, ctx.kernels, ctx.rowbuf, ctx.colbuf
 
     kr, kc = m // 2, n // 2
     ident = Permutation.identity
 
-    p1, q1, r1 = _pluq_rec(data[:kr, :kc], p, threshold, counts, kernels, ws, rowbuf, colbuf)
+    p1, q1, r1 = _pluq_rec(data[:kr, :kc], ctx)
 
     apply_rows(data[:kr, kc:], p1.inverse(), rowbuf)   # [B1; B2]
     apply_cols(data[kr:, :kc], q1.inverse(), colbuf)   # [C1 | C2]
@@ -208,8 +168,8 @@ def _pluq_rec(data, p, threshold, counts, kernels, ws, rowbuf, colbuf):
     kernels.mm_acc(data[kr:, r1:kc], data[kr:, :r1], data[:r1, r1:kc], counts)  # G
     kernels.mm_acc(data[kr:, kc:], data[kr:, :r1], data[:r1, kc:], counts)      # H
 
-    p2, q2, r2 = _pluq_rec(data[r1:kr, kc:], p, threshold, counts, kernels, ws, rowbuf, colbuf)
-    p3, q3, r3 = _pluq_rec(data[kr:, r1:kc], p, threshold, counts, kernels, ws, rowbuf, colbuf)
+    p2, q2, r2 = _pluq_rec(data[r1:kr, kc:], ctx)
+    p3, q3, r3 = _pluq_rec(data[kr:, r1:kc], ctx)
 
     apply_rows(data[kr:, kc:], p3.inverse(), rowbuf)
     apply_cols(data[kr:, kc:], q2.inverse(), colbuf)
@@ -223,19 +183,19 @@ def _pluq_rec(data, p, threshold, counts, kernels, ws, rowbuf, colbuf):
     kernels.trsm_right_upper(data[kr : kr + r3, kc : kc + r2], u2, counts)  # block now holds I
 
     # L3^-1 would overwrite the block above, which the output needs; solve on a copy.
-    scratch = ws.element_buffer((r3, r2), data.dtype)
+    scratch = ctx.ws.element_buffer((r3, r2), data.dtype)
     scratch[:] = data[kr : kr + r3, kc : kc + r2]
     kernels.trsm_left_unit_lower(l3, scratch, counts)                      # J
 
     kernels.trsm_right_upper(data[kr + r3 :, kc : kc + r2], u2, counts)    # K
     kernels.trsm_left_unit_lower(l3, data[kr : kr + r3, kc + r2 :], counts)  # N
     kernels.mm_acc(data[kr : kr + r3, kc + r2 :], scratch, data[r1 : r1 + r2, kc + r2 :], counts)  # O
-    ws.release(scratch)
+    ctx.ws.release(scratch)
 
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, kc : kc + r2], data[r1 : r1 + r2, kc + r2 :], counts)
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, r1 : r1 + r3], data[kr : kr + r3, kc + r2 :], counts)
 
-    p4, q4, r4 = _pluq_rec(data[kr + r3 :, kc + r2 :], p, threshold, counts, kernels, ws, rowbuf, colbuf)
+    p4, q4, r4 = _pluq_rec(data[kr + r3 :, kc + r2 :], ctx)
 
     apply_rows(data[kr + r3 :, : kc + r2], p4.inverse(), rowbuf)
     apply_cols(data[: kr + r3, kc + r2 :], q4.inverse(), colbuf)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pluq import DenseMatrix, PrimeField, gen_rank_deficient_leu
+from pluq import DenseMatrix, PrimeField, gen_rank_deficient_rect
 from pluq.cli import main
 from conftest import mat
 
@@ -30,7 +30,7 @@ def test_decompose_zero_matrix(tmp_path):
 
 
 def test_decompose_verify_roundtrip(tmp_path):
-    fixture = gen_rank_deficient_leu(8, 4, 101, seed=7)
+    fixture = gen_rank_deficient_rect(8, 8, 4, 101, seed=7)
     src = write(tmp_path / "m.txt", fixture)
     out = tmp_path / "f.txt"
     assert main(["decompose", src, "--out", str(out)]) == 0
@@ -39,7 +39,7 @@ def test_decompose_verify_roundtrip(tmp_path):
 
 
 def test_verify_detects_corruption(tmp_path):
-    fixture = gen_rank_deficient_leu(6, 3, 101, seed=8)
+    fixture = gen_rank_deficient_rect(6, 6, 3, 101, seed=8)
     src = write(tmp_path / "m.txt", fixture)
     out = tmp_path / "f.txt"
     main(["decompose", src, "--out", str(out)])
@@ -61,20 +61,23 @@ def test_verify_dimension_mismatch(tmp_path):
 
 def test_rank_profile_full_rank(tmp_path, capsys):
     src = write(tmp_path / "a.txt", DenseMatrix.identity(4, PrimeField(5)))
-    assert main(["rank-profile", src, "--json"]) == 0
+    assert main(["rank-profile", src]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"rows": [0, 1, 2, 3], "cols": [0, 1, 2, 3]}
+    with pytest.raises(SystemExit) as exc:  # JSON is the only output; no --json flag
+        main(["rank-profile", src, "--json"])
+    assert exc.value.code == 2
 
 
 def test_rank_profile_leading_zero_block(tmp_path, capsys):
-    src = write(tmp_path / "a.txt", gen_rank_deficient_leu(5, 2, 7, seed=3))
+    src = write(tmp_path / "a.txt", gen_rank_deficient_rect(5, 5, 2, 7, seed=3))
     assert main(["rank-profile", src, "--leading", "0", "0"]) == 0
     assert json.loads(capsys.readouterr().out) == {"rows": [], "cols": []}
     assert main(["rank-profile", src, "--leading", "9", "0"]) == 2
 
 
 def test_rank_profile_all_leading_with_oracle(tmp_path, capsys):
-    src = write(tmp_path / "a.txt", gen_rank_deficient_leu(5, 3, 101, seed=4))
+    src = write(tmp_path / "a.txt", gen_rank_deficient_rect(5, 5, 3, 101, seed=4))
     assert main(["rank-profile", src, "--all-leading", "--oracle"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 3
@@ -126,6 +129,30 @@ def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a matrix\n")
     assert main(["decompose", str(bad)]) == 2
+
+
+def test_huge_modulus_exits_promptly(tmp_path, capsys):
+    # 2**61 - 1 is prime; the bound check must reject it before trial division
+    src = tmp_path / "m.txt"
+    src.write_text("1 1 2305843009213693951\n1\n")
+    assert main(["rank-profile", str(src)]) == 2
+    assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_oversized_integers_exit_code(tmp_path, capsys):
+    src = write(tmp_path / "m.txt", mat([[1, 0], [0, 1]], 5))
+    out = tmp_path / "f.txt"
+    assert main(["decompose", src, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+
+    big_entry = tmp_path / "big.txt"
+    big_entry.write_text(f"2 2 5\n1 0\n0 {2**63}\n")
+    assert main(["verify", str(big_entry), str(out)]) == 2
+
+    big_index = tmp_path / "g.txt"
+    big_index.write_text("\n".join([lines[0], f"0 {2**63}"] + lines[2:]) + "\n")
+    assert main(["verify", src, str(big_index)]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class RecordingKernels(ClassicalKernels):
         self.calls = 0
 
     def _snap(self, counts):
-        return counts.copy()
+        return dataclasses.replace(counts)
 
     def mm_acc(self, c, a, b, counts):
         before = self._snap(counts)

@@ -3,17 +3,16 @@ import pytest
 
 from pluq import (
     gen_full_rank_generic,
-    gen_rank_deficient_leu,
     gen_rank_deficient_rect,
     rank_naive,
 )
 
 
 def test_same_seed_same_matrix():
-    a = gen_rank_deficient_leu(12, 6, 101, seed=99)
-    b = gen_rank_deficient_leu(12, 6, 101, seed=99)
+    a = gen_rank_deficient_rect(12, 12, 6, 101, seed=99)
+    b = gen_rank_deficient_rect(12, 12, 6, 101, seed=99)
     assert a.to_text() == b.to_text()
-    c = gen_rank_deficient_leu(12, 6, 101, seed=100)
+    c = gen_rank_deficient_rect(12, 12, 6, 101, seed=100)
     assert a != c
 
 
@@ -39,12 +38,12 @@ def test_rank_deficient_rank_exact():
 
 
 def test_rank_zero_is_zero_matrix():
-    a = gen_rank_deficient_leu(5, 0, 7, seed=1)
+    a = gen_rank_deficient_rect(5, 5, 0, 7, seed=1)
     assert not a.data.any()
 
 
 def test_full_rank_leu():
-    a = gen_rank_deficient_leu(6, 6, 7, seed=2)
+    a = gen_rank_deficient_rect(6, 6, 6, 7, seed=2)
     assert rank_naive(a) == 6
 
 

@@ -1,20 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pluq import (
-    DenseMatrix,
-    OpCounts,
-    Permutation,
-    PluqFactors,
-    PrimeField,
-    apply_cols,
-    apply_rows,
-    perm_block_diag,
-    pluq,
-)
+from pluq import DenseMatrix, OpCounts, Permutation, PluqFactors, PrimeField, pluq
+from pluq.matrix import apply_cols, apply_rows, perm_block_diag
 from conftest import mat, random_matrix
 
 
@@ -23,7 +15,7 @@ from conftest import mat, random_matrix
 
 def test_identity_and_transposition_examples():
     col = mat([[1], [2], [3]], 5)
-    apply_rows(col.data, Permutation.transposition(3, 0, 2))
+    apply_rows(col.data, Permutation([2, 1, 0]))
     assert col == mat([[3], [2], [1]], 5)
 
     a = random_matrix(np.random.default_rng(0), 4, 3, 7)
@@ -31,7 +23,8 @@ def test_identity_and_transposition_examples():
     apply_rows(b.data, Permutation.identity(4))
     assert b == a
 
-    assert Permutation.transposition(3, 1, 1).is_identity()
+    assert Permutation([0, 1, 2]).is_identity()
+    assert not Permutation([0, 2, 1]).is_identity()
 
 
 def test_permutation_rejects_non_bijection():
@@ -69,23 +62,20 @@ def test_compose_matches_matrix_product_random(pa, pb):
 
 
 def test_inverse_of_transposition_is_itself():
-    t = Permutation.transposition(5, 1, 3)
+    t = Permutation([0, 3, 2, 1, 4])
     assert t.inverse() == t
 
 
 def test_block_diag_and_embed():
-    swap01 = Permutation.transposition(2, 0, 1)
+    swap01 = Permutation([1, 0])
     bd = perm_block_diag([Permutation.identity(2), swap01])
     a = mat([[0], [1], [2], [3]], 5)
     apply_rows(a.data, bd)
     assert a == mat([[0], [1], [3], [2]], 5)
 
-    em = swap01.embed(3, 6)
-    expected = list(range(6))
-    expected[3], expected[4] = 4, 3
-    assert em == Permutation(expected)
-    with pytest.raises(ValueError):
-        swap01.embed(5, 6)
+    # identity blocks on both sides embed a permutation in a larger range
+    em = perm_block_diag([Permutation.identity(3), swap01, Permutation.identity(1)])
+    assert em == Permutation([0, 1, 2, 4, 3, 5])
 
 
 def test_apply_rows_matches_explicit_product():
@@ -127,7 +117,7 @@ def test_apply_then_inverse_restores(rows, cols, seed):
 
 def test_apply_on_sub_block_views():
     a = mat([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 11)
-    apply_rows(a.data[1:, 1:], Permutation.transposition(2, 0, 1))
+    apply_rows(a.data[1:, 1:], Permutation([1, 0]))
     assert a == mat([[0, 1, 2], [3, 7, 8], [6, 4, 5]], 11)
 
 
@@ -157,21 +147,6 @@ def test_leading_submatrix():
         a.leading_submatrix(3, 1)
 
 
-def test_quadrant_split_floors():
-    a = DenseMatrix.zeros(5, 7, PrimeField(5))
-    a1, a2, a3, a4 = a.quadrant_views()
-    assert a1.shape == (2, 3) and a4.shape == (3, 4)
-    assert a2.shape == (2, 4) and a3.shape == (3, 3)
-
-
-def test_quadrant_views_alias_parent():
-    a = DenseMatrix.zeros(4, 4, PrimeField(5))
-    a1, _, _, a4 = a.quadrant_views()
-    a1[0, 0] = 3
-    a4[-1, -1] = 2
-    assert a.data[0, 0] == 3 and a.data[3, 3] == 2
-
-
 def test_text_roundtrip():
     rng = np.random.default_rng(5)
     for m, n in [(3, 4), (1, 1), (0, 3), (3, 0), (0, 0)]:
@@ -192,11 +167,17 @@ def test_text_rejects_bad_input():
         DenseMatrix.from_text("1 2 4\n0 1\n")  # composite modulus
     with pytest.raises(ValueError):
         DenseMatrix.from_text("2 2 5\n0 1\n")  # missing row
+    with pytest.raises(ValueError):
+        DenseMatrix.from_text(f"1 2 5\n0 {2**63}\n")  # beyond int64
+    with pytest.raises(ValueError):
+        DenseMatrix.from_text(f"1 2 5\n{-2**63 - 1} 0\n")
+    with pytest.raises(ValueError):
+        DenseMatrix.from_text("1 2 5\n0 1.5\n")
 
 
 def test_opcounts_accumulate_and_copy():
     c = OpCounts(field_mul=2, field_add=1)
-    d = c.copy()
+    d = dataclasses.replace(c)
     d.field_mul += 1
     assert c.field_mul == 2 and d.field_mul == 3
     assert c.total_field_ops() == 3
@@ -221,3 +202,5 @@ def test_factor_file_rejects_inconsistencies():
         PluqFactors.from_text("2 2 5 1\n0 1\n0 1\n1 1 5\n3\n")  # packed header mismatch
     with pytest.raises(ValueError):
         PluqFactors.from_text("1 1 5 2\n0\n0\n1 1 5\n3\n")  # rank out of range
+    with pytest.raises(ValueError):
+        PluqFactors.from_text(f"1 2 5 1\n0\n0 {2**64}\n1 2 5\n3 0\n")  # index beyond int64

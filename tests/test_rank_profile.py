@@ -5,7 +5,7 @@ from pluq import (
     DenseMatrix,
     PrimeField,
     col_rank_profile,
-    gen_rank_deficient_leu,
+    gen_rank_deficient_rect,
     leading_rank_profiles,
     pluq,
     pluq_iterative,
@@ -34,7 +34,7 @@ def test_2x2_example():
 
 
 def test_leading_full_equals_whole_matrix():
-    a = gen_rank_deficient_leu(6, 3, 101, seed=2)
+    a = gen_rank_deficient_rect(6, 6, 3, 101, seed=2)
     f = pluq(a.copy())
     assert leading_rank_profiles(f, 6, 6) == (row_rank_profile(f), col_rank_profile(f))
     assert leading_rank_profiles(f, 0, 4) == ((), ())
@@ -44,7 +44,7 @@ def test_leading_full_equals_whole_matrix():
 
 
 def test_6x6_rank3_all_pairs_vs_oracle():
-    a = gen_rank_deficient_leu(6, 3, 3, seed=11)
+    a = gen_rank_deficient_rect(6, 6, 3, 3, seed=11)
     orig = a.copy()
     f = pluq(a)
     oracle = all_leading_rank_profiles_naive(orig)

@@ -8,17 +8,14 @@ from pluq import (
     Permutation,
     PrimeField,
     TrackingWorkspace,
-    base_case_col,
-    base_case_row,
-    build_s_perm,
-    build_t_perm,
-    gen_rank_deficient_leu,
+    gen_rank_deficient_rect,
     leading_rank_profiles,
     pluq,
     pluq_iterative,
     rank_naive,
 )
 from pluq.oracle import LeadingProfileTable
+from pluq.recursive import build_s_perm, build_t_perm
 from conftest import mat, random_matrix
 
 
@@ -48,7 +45,7 @@ def test_2x2_rank_one():
 
 
 def test_16x16_generated_rank_8():
-    a = gen_rank_deficient_leu(16, 8, 1009, seed=3)
+    a = gen_rank_deficient_rect(16, 16, 8, 1009, seed=3)
     orig = a.copy()
     f = pluq(a, threshold=4)
     assert f.rank == 8 == rank_naive(orig)
@@ -60,30 +57,31 @@ def test_16x16_generated_rank_8():
 
 
 # -- base cases ---------------------------------------------------------------
+# A single row or column always goes to the iterative base case.
 
 
 def test_base_case_row():
-    f = base_case_row(mat([[0, 0, 5]], 7))
+    f = pluq_iterative(mat([[0, 0, 5]], 7))
     assert f.rank == 1
     assert np.array_equal(f.packed.data, [[5, 0, 0]])
     # order-preserving rotation, not a swap: remaining columns keep their order
     assert f.q_perm == Permutation([2, 0, 1])
     assert f.reconstruct() == mat([[0, 0, 5]], 7)
 
-    z = base_case_row(mat([[0, 0]], 7))
+    z = pluq_iterative(mat([[0, 0]], 7))
     assert z.rank == 0 and z.q_perm.is_identity()
 
 
 def test_base_case_col():
     counts = OpCounts()
-    f = base_case_col(mat([[0], [2], [4]], 5), counts)
+    f = pluq_iterative(mat([[0], [2], [4]], 5), counts)
     assert f.rank == 1
     assert np.array_equal(f.packed.data.ravel(), [2, 0, 2])  # 4 * inv(2) = 2
     assert f.p_perm == Permutation([1, 0, 2])
     assert f.reconstruct() == mat([[0], [2], [4]], 5)
     assert counts.field_inv == 1 and counts.field_mul == 1
 
-    z = base_case_col(mat([[0], [0]], 5))
+    z = pluq_iterative(mat([[0], [0]], 5))
     assert z.rank == 0 and z.p_perm.is_identity()
 
 
@@ -91,17 +89,13 @@ def test_base_cases_match_iterative_bitwise():
     rng = np.random.default_rng(31)
     for _ in range(60):
         n = int(rng.integers(1, 9))
-        row = random_matrix(rng, 1, n, 7)
-        fr = base_case_row(row.copy())
-        fi = pluq_iterative(row.copy())
-        assert fr.p_perm == fi.p_perm and fr.q_perm == fi.q_perm
-        assert np.array_equal(fr.packed.data, fi.packed.data)
-
-        col = random_matrix(rng, n, 1, 7)
-        fc = base_case_col(col.copy())
-        fj = pluq_iterative(col.copy())
-        assert fc.p_perm == fj.p_perm and fc.q_perm == fj.q_perm
-        assert np.array_equal(fc.packed.data, fj.packed.data)
+        for a in (random_matrix(rng, 1, n, 7), random_matrix(rng, n, 1, 7)):
+            rec_counts, it_counts = OpCounts(), OpCounts()
+            fr = pluq(a.copy(), threshold=1, counts=rec_counts)
+            fi = pluq_iterative(a.copy(), it_counts)
+            assert fr.p_perm == fi.p_perm and fr.q_perm == fi.q_perm
+            assert np.array_equal(fr.packed.data, fi.packed.data)
+            assert rec_counts == it_counts
 
 
 # -- final block permutations -------------------------------------------------
@@ -197,7 +191,7 @@ def test_storage_is_consumed_in_place():
 
 def test_workspace_scratch_is_bounded():
     ws = TrackingWorkspace()
-    a = gen_rank_deficient_leu(64, 32, 101, seed=9)
+    a = gen_rank_deficient_rect(64, 64, 32, 101, seed=9)
     pluq(a, threshold=8, workspace=ws)
     # two line buffers plus at most one r3 x r2 scratch live at any time
     assert ws.peak_elements <= ws.max_scratch_block + 2 * (64 + 64)
