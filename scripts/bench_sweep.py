@@ -11,6 +11,7 @@ import sys
 from contextlib import redirect_stdout
 
 from pluq.cli import BENCH_HEADER, main as cli_main
+from pluq.recursive import DEFAULT_THRESHOLD
 
 
 def main():
@@ -19,7 +20,7 @@ def main():
     parser.add_argument("--p", type=int, default=1009)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=1)
-    parser.add_argument("--threshold", type=int, default=30)
+    parser.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
     parser.add_argument("--algos", nargs="+", default=["recursive", "iterative"])
     args = parser.parse_args()
 

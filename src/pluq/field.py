@@ -75,12 +75,11 @@ class PrimeField:
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
         self.p = p
         sq = (p - 1) ** 2
-        if sq * 8192 <= _F64_EXACT:
-            self.dtype = np.float64
-            self.max_accumulate = max(1, _F64_EXACT // sq - 1) if sq else _F64_EXACT
-        else:
-            self.dtype = np.int64
-            self.max_accumulate = max(1, _I64_EXACT // sq - 1) if sq else _I64_EXACT
+        self.dtype = np.float64 if sq * 8192 <= _F64_EXACT else np.int64
+        exact = _F64_EXACT if self.dtype == np.float64 else _I64_EXACT
+        # longest k with k (p-1)^2 + (p-1) exact: a length-k dot product of
+        # residues, added to or subtracted from one residue, stays exact
+        self.max_accumulate = (exact - (p - 1)) // sq
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

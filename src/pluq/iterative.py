@@ -90,4 +90,4 @@ def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
             pos_p[r] = idxs[-1]
         r += 1
 
-    return Permutation(sig_p), Permutation(sig_q), r
+    return Permutation._unchecked(sig_p), Permutation._unchecked(sig_q), r

@@ -10,6 +10,10 @@ delayed-reduction model:
 
 * ``mm_acc`` (C <- C - A*B, A is m x k, B is k x n): m*n reductions (one per
   output entry), except 0 when k == 0 (an empty accumulation writes nothing).
+  That is also what runs whenever k (p-1)^2 + (p-1) fits the accumulator
+  (k <= ``PrimeField.max_accumulate``, at least 8192 on float64 storage):
+  C - A @ B is formed exactly and reduced once into C.  Otherwise the product
+  is reduced in chunks first.
 * ``trsm_left_unit_lower`` (B <- L^-1 B, unit diagonal): r*n reductions, one
   per updated row entry.
 * ``trsm_right_upper`` (B <- B U^-1): 2*m*r reductions; the diagonal is
@@ -52,12 +56,12 @@ class ClassicalKernels:
         counts.field_mul += m * n * k
         counts.field_add += m * n * k
         p = self.field.p
+        fused = k <= self.field.max_accumulate  # C - A @ B is exact
         for lo in range(0, m, _PANEL_ROWS):
             hi = min(lo + _PANEL_ROWS, m)
-            panel = self.field.matmul_mod(a[lo:hi], b)
+            panel = a[lo:hi] @ b if fused else self.field.matmul_mod(a[lo:hi], b)
             np.subtract(c[lo:hi], panel, out=panel)
-            np.mod(panel, p, out=panel)
-            c[lo:hi] = panel
+            np.mod(panel, p, out=c[lo:hi])
 
     # -- triangular solves ----------------------------------------------------
 

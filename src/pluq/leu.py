@@ -91,8 +91,8 @@ def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
     lbar = _conjugated_lower(factors, np.eye(m - r, dtype=field.dtype))
     ubar = _conjugated_upper(factors, np.zeros((n - r, n - r), dtype=field.dtype))
     e = np.zeros((m, n), dtype=field.dtype)
-    for a, b in factors.support_pairs():
-        e[a, b] = 1
+    rows, cols = factors._support_arrays()
+    e[rows, cols] = 1
 
     if not _is_unit_lower(lbar):
         raise RuntimeError("LEU integrity failure: Lbar is not unit lower triangular")

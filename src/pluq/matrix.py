@@ -18,6 +18,16 @@ import numpy as np
 
 from .field import PrimeField
 
+_DECIMAL_CHARS = b"0123456789 \t\r\n"
+
+
+def _check_decimal_text(text: str) -> None:
+    """Reject text with any character besides ASCII digits, spaces, tabs and
+    line ends.  ``int()`` would also take ``+5``, ``1_0`` and non-ASCII digits;
+    this is one C-level pass over the whole text instead of a check per token."""
+    if not text.isascii() or text.encode("ascii").translate(None, _DECIMAL_CHARS):
+        raise ValueError("expected ASCII decimal integers separated by whitespace")
+
 
 @dataclass
 class OpCounts:
@@ -123,15 +133,14 @@ class DenseMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "DenseMatrix":
+        _check_decimal_text(text)
         lines = text.splitlines()
         if not lines or not lines[0].strip():
             raise ValueError("empty matrix file")
         header = lines[0].split()
         if len(header) != 3:
             raise ValueError(f"bad matrix header {lines[0]!r}, expected 'm n p'")
-        m, n, p = (int(x) for x in header)
-        if m < 0 or n < 0:
-            raise ValueError("negative dimensions")
+        m, n, p = (int(x) for x in header)  # no sign: the character check rejects it
         field = PrimeField(p)
         body, trailing = lines[1 : 1 + m], lines[1 + m :]
         if len(body) != m or any(ln.strip() for ln in trailing):
@@ -163,13 +172,21 @@ class Permutation:
                 raise ValueError("not a bijection on {0,...,s-1}")
         self.sigma = arr
 
+    @classmethod
+    def _unchecked(cls, sigma: np.ndarray) -> "Permutation":
+        """Wrap an int64 map that is a bijection by construction, skipping the
+        check of ``__init__``, which is for maps from outside the package."""
+        perm = object.__new__(cls)
+        perm.sigma = sigma
+        return perm
+
     @property
     def size(self) -> int:
         return self.sigma.shape[0]
 
     @classmethod
     def identity(cls, s: int) -> "Permutation":
-        return cls(np.arange(s, dtype=np.int64))
+        return cls._unchecked(np.arange(s, dtype=np.int64))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and bool(np.array_equal(other.sigma, self.sigma))
@@ -184,12 +201,10 @@ class Permutation:
         """Permutation whose matrix is Mat(self) @ Mat(other)."""
         if other.size != self.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return Permutation(other.sigma[self.sigma])
+        return Permutation._unchecked(other.sigma[self.sigma])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.sigma] = np.arange(self.size, dtype=np.int64)
-        return Permutation(inv)
+        return Permutation._unchecked(_inverse_map(self.sigma))
 
     def to_matrix(self, field: PrimeField) -> DenseMatrix:
         """Explicit 0/1 matrix; test and oracle use only."""
@@ -203,6 +218,7 @@ class Permutation:
 
     @classmethod
     def deserialize(cls, text: str, size: int | None = None) -> "Permutation":
+        _check_decimal_text(text)
         vals = [int(x) for x in text.split()]
         if size is not None and len(vals) != size:
             raise ValueError(f"expected permutation of size {size}, got {len(vals)} indices")
@@ -220,30 +236,39 @@ def perm_block_diag(perms: list[Permutation]) -> Permutation:
     for p in perms:
         sigma[off : off + p.size] = p.sigma + off
         off += p.size
-    return Permutation(sigma)
+    return Permutation._unchecked(sigma)
+
+
+def _inverse_map(sigma: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(sigma)
+    inv[sigma] = np.arange(sigma.shape[0], dtype=sigma.dtype)
+    return inv
 
 
 def _permute_inplace(a: np.ndarray, tau: np.ndarray, axis: int, buf: np.ndarray | None) -> None:
-    # new[x] = old[tau(x)] along axis, via cycle walks with one line buffer.
-    s = tau.shape[0]
-    done = np.zeros(s, dtype=bool)
-    take = (lambda i: a[i]) if axis == 0 else (lambda i: a[:, i])
-    width = a.shape[1 - axis]
+    # new[x] = old[tau(x)] along axis, via cycle walks with one line buffer;
+    # only the moved indices start a walk, and the walk indexes with Python ints.
+    moved = np.flatnonzero(tau != np.arange(tau.shape[0])).tolist()
+    if not moved:
+        return
+    lines = a if axis == 0 else a.T
+    width = lines.shape[1]
     if buf is None:
         buf = np.empty(width, dtype=a.dtype)
     tmp = buf[:width]
-    for start in range(s):
-        if done[start] or tau[start] == start:
-            done[start] = True
+    t = tau.tolist()
+    done = set()
+    for start in moved:
+        if start in done:
             continue
-        tmp[:] = take(start)
+        tmp[:] = lines[start]
         j = start
-        while tau[j] != start:
-            take(j)[...] = take(tau[j])
-            done[j] = True
-            j = tau[j]
-        take(j)[...] = tmp
-        done[j] = True
+        while t[j] != start:
+            lines[j] = lines[t[j]]
+            done.add(j)
+            j = t[j]
+        lines[j] = tmp
+        done.add(j)
 
 
 def apply_rows(a: np.ndarray, perm: Permutation, buf: np.ndarray | None = None) -> None:
@@ -257,7 +282,7 @@ def apply_cols(a: np.ndarray, perm: Permutation, buf: np.ndarray | None = None) 
     """In place A <- A @ Mat(perm) on a (possibly strided) block view."""
     if perm.size != a.shape[1]:
         raise ValueError(f"column permutation size {perm.size} vs {a.shape[1]} columns")
-    _permute_inplace(a, perm.inverse().sigma, 1, buf)
+    _permute_inplace(a, _inverse_map(perm.sigma), 1, buf)
 
 
 @dataclass
@@ -298,9 +323,13 @@ class PluqFactors:
 
     def support_pairs(self) -> list[tuple[int, int]]:
         """Pivot supports (a_t, b_t): E = Mat(P) [I_r; 0] Mat(Q) has 1 at (a_t, b_t)."""
+        rows, cols = self._support_arrays()
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def _support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The a_t and the b_t of ``support_pairs`` as two int64 arrays."""
         r = self.rank
-        inv_p = self.p_perm.inverse().sigma
-        return [(int(inv_p[t]), int(self.q_perm.sigma[t])) for t in range(r)]
+        return _inverse_map(self.p_perm.sigma)[:r], self.q_perm.sigma[:r]
 
     def reconstruct(self) -> DenseMatrix:
         """Dense Mat(P) @ [L;M] @ [U V] @ Mat(Q); test/verify use."""
@@ -308,7 +337,7 @@ class PluqFactors:
         prod = field.matmul_mod(self.extract_lm(), self.extract_uv())
         # rows: Mat(P) @ X gathers old row sigma(i); cols: X @ Mat(Q) gathers sigma^-1.
         prod = prod[self.p_perm.sigma, :]
-        prod = prod[:, self.q_perm.inverse().sigma]
+        prod = prod[:, _inverse_map(self.q_perm.sigma)]
         return DenseMatrix(field, prod)
 
     def check_structure(self) -> list[str]:
@@ -335,16 +364,20 @@ class PluqFactors:
 
     @classmethod
     def from_text(cls, text: str) -> "PluqFactors":
-        lines = text.splitlines()
+        # split at "\n" only, so every other character reaches exactly one of
+        # the checking parsers below
+        lines = text.split("\n", 3)
         if len(lines) < 4:
             raise ValueError("truncated factor file")
-        header = lines[0].split()
+        head, p_line, q_line, body = lines
+        _check_decimal_text(head)
+        header = head.split()
         if len(header) != 4:
-            raise ValueError(f"bad factor header {lines[0]!r}, expected 'm n p r'")
+            raise ValueError(f"bad factor header {head!r}, expected 'm n p r'")
         m, n, p, r = (int(x) for x in header)
-        p_perm = Permutation.deserialize(lines[1], size=m)
-        q_perm = Permutation.deserialize(lines[2], size=n)
-        packed = DenseMatrix.from_text("\n".join(lines[3:]))
+        p_perm = Permutation.deserialize(p_line, size=m)
+        q_perm = Permutation.deserialize(q_line, size=n)
+        packed = DenseMatrix.from_text(body)
         if packed.shape != (m, n) or packed.p != p:
             raise ValueError("factor header disagrees with the packed matrix header")
         if not 0 <= r <= min(m, n):

@@ -83,7 +83,7 @@ def build_s_perm(r1: int, r2: int, r3: int, r4: int, k: int, m: int) -> Permutat
     sigma = np.arange(m, dtype=np.int64)
     sigma[r1 + r2 : k] += r3 + r4
     sigma[k : k + r3 + r4] -= k - (r1 + r2)
-    return Permutation(sigma)
+    return Permutation._unchecked(sigma)
 
 
 def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutation:
@@ -97,7 +97,7 @@ def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutat
     sigma[r1 + r2 : r1 + r2 + r3] -= r2
     sigma[r1 + r2 + r3 : r1 + r2 + r3 + r4] += k + r2 - (r1 + r2 + r3)
     sigma[r1 + r2 + r3 + r4 : k + r2 + r4] -= r2 + r4
-    return Permutation(sigma)
+    return Permutation._unchecked(sigma)
 
 
 @dataclass(frozen=True, slots=True)

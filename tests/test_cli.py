@@ -155,6 +155,17 @@ def test_oversized_integers_exit_code(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_non_decimal_tokens_exit_code(tmp_path, capsys):
+    # int() would read "+5" as 5, "1_009" as 1009 and a fullwidth digit as a digit
+    for i, text in enumerate(["1 2 7\n+5 0\n", "1 1 1_009\n1\n", "1 2 7\n\uff11 0\n"]):
+        src = tmp_path / f"m{i}.txt"
+        src.write_text(text, encoding="utf-8")
+        assert main(["decompose", str(src)]) == 2
+        err = capsys.readouterr().err
+        if text.isascii():  # a non-UTF-8 locale fails the last file at decoding
+            assert "ASCII decimal" in err
+
+
 def test_missing_file_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:  # argparse errors exit 2 on bad args
         main(["decompose"])

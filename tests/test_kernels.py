@@ -70,6 +70,35 @@ def test_mm_acc_large_modulus_int64_path():
             assert int(c[i, j]) == want
 
 
+@pytest.mark.parametrize("p, large", [
+    (67108859, False),  # int64 storage
+    (1048573, False),   # largest prime below 2**20, float64 storage
+    (2**31 - 1, True),  # allow_large_modulus, int64 storage
+])
+def test_mm_acc_worst_case_at_the_fused_bound(p, large, monkeypatch):
+    # C - A @ B is formed unreduced while k (p-1)^2 + (p-1) fits the
+    # accumulator; one more term must take the chunked matmul_mod path.
+    field = PrimeField(p, allow_large_modulus=large)
+    exact = 2**53 if field.dtype == np.float64 else 2**63 - 1
+    k_fused = (exact - (p - 1)) // (p - 1) ** 2
+    assert field.max_accumulate == k_fused
+    chunked = []
+    original = PrimeField.matmul_mod
+    monkeypatch.setattr(PrimeField, "matmul_mod",
+                        lambda self, a, b: chunked.append(a.shape) or original(self, a, b))
+    kern = ClassicalKernels(field)
+    for k in (k_fused, k_fused + 1, 2 * k_fused):  # the last: two full chunks
+        chunked.clear()
+        m, n = 33, 2  # two row panels
+        a = np.full((m, k), p - 1, dtype=field.dtype)
+        b = np.full((k, n), p - 1, dtype=field.dtype)
+        c = np.zeros((m, n), dtype=field.dtype)
+        kern.mm_acc(c, a, b, OpCounts())
+        want = (-k * (p - 1) ** 2) % p  # Python integers, no overflow
+        assert c.astype(object).tolist() == [[want] * n] * m, k
+        assert bool(chunked) == (k > k_fused), k
+
+
 def test_trsm_left_unit_identity_noop():
     field = PrimeField(5)
     kern = ClassicalKernels(field)

@@ -10,6 +10,10 @@ from pluq.matrix import apply_cols, apply_rows, perm_block_diag
 from conftest import mat, random_matrix
 
 
+# int() would read these as 10, 5, 3 and 1
+NON_DECIMAL_TOKENS = ["1_0", "+5", "\u0663", "\uff11"]
+
+
 # -- permutations -------------------------------------------------------------
 
 
@@ -31,7 +35,31 @@ def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
+        Permutation([0, 0])
+    with pytest.raises(ValueError):
         Permutation([0, 3])
+    for text in ["0 0", "0 2", "1 -0", "0 +1", "0 1_0", "\uff10 1"]:
+        with pytest.raises(ValueError):
+            Permutation.deserialize(text)
+    with pytest.raises(ValueError):
+        Permutation.deserialize("1 0", size=3)
+
+
+def _assert_bijection(perm):
+    assert perm.sigma.dtype == np.int64 and perm.sigma.ndim == 1
+    assert np.array_equal(np.sort(perm.sigma), np.arange(perm.size))
+    assert Permutation(perm.sigma) == perm  # the validating constructor agrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.permutations(range(4)), min_size=1, max_size=4), st.permutations(range(4)))
+def test_derived_permutations_are_bijections(blocks, pb):
+    perms = [Permutation(np.array(p)) for p in blocks]
+    for a in perms:
+        _assert_bijection(a.inverse())
+        _assert_bijection(a.compose(Permutation(np.array(pb))))
+    _assert_bijection(perm_block_diag(perms))
+    _assert_bijection(Permutation.identity(len(blocks)))
 
 
 def test_compose_trivial():
@@ -121,6 +149,42 @@ def test_apply_on_sub_block_views():
     assert a == mat([[0, 1, 2], [3, 7, 8], [6, 4, 5]], 11)
 
 
+@st.composite
+def _sparse_permutations(draw, size):
+    """The identity, one transposition, or a permutation moving a few indices."""
+    sigma = np.arange(size)
+    kind = draw(st.sampled_from(["identity", "transposition", "few"]))
+    if kind == "transposition" and size >= 2:
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        sigma[[i, j]] = sigma[[j, i]]
+    elif kind == "few" and size:
+        moved = draw(st.lists(st.integers(0, size - 1), max_size=4, unique=True))
+        sigma[moved] = draw(st.permutations(moved))
+    return Permutation(sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.booleans())
+def test_apply_on_strided_views_matches_gather(data, rows, cols, row_step, col_step, by_rows, with_buf):
+    rng = np.random.default_rng(rows * 97 + cols)
+    parent = random_matrix(rng, rows * row_step + 1, cols * col_step + 2, 1009).data
+    before = parent.copy()
+    view = parent[1 : 1 + rows * row_step : row_step, 2 : 2 + cols * col_step : col_step]
+    old = view.copy()
+    perm = data.draw(_sparse_permutations(rows if by_rows else cols))
+    buf = np.full(max(rows, cols) + 3, -1.0) if with_buf else None
+    if by_rows:
+        apply_rows(view, perm, buf)
+        expected = old[perm.sigma, :]  # Mat(sigma) @ A: row i is old row sigma(i)
+    else:
+        apply_cols(view, perm, buf)
+        expected = old[:, np.argsort(perm.sigma)]  # A @ Mat(sigma): column j is old column sigma^-1(j)
+    assert np.array_equal(view, expected)
+    view[...] = old
+    assert np.array_equal(parent, before)  # nothing outside the view moved
+
+
 def test_permutation_serialization_roundtrip():
     sigma = Permutation([3, 1, 0, 2])
     assert Permutation.deserialize(sigma.serialize()) == sigma
@@ -173,6 +237,12 @@ def test_text_rejects_bad_input():
         DenseMatrix.from_text(f"1 2 5\n{-2**63 - 1} 0\n")
     with pytest.raises(ValueError):
         DenseMatrix.from_text("1 2 5\n0 1.5\n")
+    # int() takes these; the format is ASCII decimal only
+    for token in NON_DECIMAL_TOKENS:
+        with pytest.raises(ValueError):
+            DenseMatrix.from_text(f"1 2 101\n{token} 0\n")
+        with pytest.raises(ValueError):
+            DenseMatrix.from_text(f"{token} 1 101\n0\n")
 
 
 def test_opcounts_accumulate_and_copy():
@@ -204,3 +274,15 @@ def test_factor_file_rejects_inconsistencies():
         PluqFactors.from_text("1 1 5 2\n0\n0\n1 1 5\n3\n")  # rank out of range
     with pytest.raises(ValueError):
         PluqFactors.from_text(f"1 2 5 1\n0\n0 {2**64}\n1 2 5\n3 0\n")  # index beyond int64
+    good = "1 2 5 1\n0\n0 1\n1 2 5\n3 0\n"
+    assert PluqFactors.from_text(good).rank == 1
+    for token in NON_DECIMAL_TOKENS:
+        for bad in (
+            f"1 2 5 {token}\n0\n0 1\n1 2 5\n3 0\n",  # factor header
+            f"1 2 5 1\n0\n{token} 0\n1 2 5\n3 0\n",  # Q line
+            f"1 2 5 1\n0\n0 1\n1 2 5\n{token} 0\n",  # packed entry
+        ):
+            with pytest.raises(ValueError):
+                PluqFactors.from_text(bad)
+    with pytest.raises(ValueError):  # a line break only str.splitlines() knows
+        PluqFactors.from_text("1 2 5 1\x1c0\n0 1\n1 2 5\n3 0\n")

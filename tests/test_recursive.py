@@ -135,6 +135,21 @@ def test_block_perms_marker_matrix():
     assert landed.tolist() == [1, 2, 3, 4, 5, 5, 6, 6, 6]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=6, max_size=6), st.booleans())
+def test_block_perms_are_bijections(sizes, columns):
+    # every consistent (r1, r2, r3, r4, k, size) must give a permutation
+    r1, r2, r3, r4, extra_k, extra = sizes
+    if columns:
+        k = r1 + r3 + extra_k
+        perm = build_t_perm(r1, r2, r3, r4, k, k + r2 + r4 + extra)
+    else:
+        k = r1 + r2 + extra_k
+        perm = build_s_perm(r1, r2, r3, r4, k, k + r3 + r4 + extra)
+    assert np.array_equal(np.sort(perm.sigma), np.arange(perm.size))
+    assert Permutation(perm.sigma) == perm
+
+
 # -- whole-decomposition properties --------------------------------------------
 
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from pluq.cli import BENCH_HEADER
+from pluq.recursive import DEFAULT_THRESHOLD
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -33,5 +34,5 @@ def test_bench_sweep_csv(monkeypatch, capsys):
     assert lines[0] == BENCH_HEADER
     assert len(lines) == 2
     cells = lines[1].split(",")
-    assert cells[:5] == ["recursive", "32", "32", "16", "30"]
+    assert cells[:5] == ["recursive", "32", "32", "16", str(DEFAULT_THRESHOLD)]
     assert float(cells[6]) >= 0  # seconds
