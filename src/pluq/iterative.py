@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import inverse_mod
-from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
+from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors, _inverse_map
 
 
 def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
@@ -29,9 +29,8 @@ def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactor
 
 def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
     m, n = data.shape
-    sig_p = np.arange(m, dtype=np.int64)
-    pos_p = np.arange(m, dtype=np.int64)  # inverse of sig_p, kept in sync
-    sig_q = np.arange(n, dtype=np.int64)
+    rows = np.arange(m, dtype=np.int64)
+    cols = np.arange(n, dtype=np.int64)
     r = i = j = 0
     while i < m or j < n:
         if trace is not None:
@@ -78,16 +77,11 @@ def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
         # r..qcol-1 shift by one, preserving their relative order.
         if qcol > r:
             data[:, r : qcol + 1] = np.roll(data[:, r : qcol + 1], 1, axis=1)
-            # Mat(Q) <- Mat(C)^-1 Mat(Q): rotate the entries of rows r..qcol.
-            sig_q[r : qcol + 1] = np.roll(sig_q[r : qcol + 1], 1)
+            cols[r : qcol + 1] = np.concatenate((cols[qcol : qcol + 1], cols[r:qcol]))
         if prow > r:
             data[r : prow + 1, :] = np.roll(data[r : prow + 1, :], 1, axis=0)
-            # Mat(P) <- Mat(P) Mat(C)^-1: values r..prow-1 advance, prow wraps to r.
-            idxs = pos_p[r : prow + 1].copy()
-            sig_p[idxs[:-1]] += 1
-            sig_p[idxs[-1]] = r
-            pos_p[r + 1 : prow + 1] = idxs[:-1]
-            pos_p[r] = idxs[-1]
+            rows[r : prow + 1] = np.concatenate((rows[prow : prow + 1], rows[r:prow]))
         r += 1
 
-    return Permutation._unchecked(sig_p), Permutation._unchecked(sig_q), r
+    # packed = A[rows][:, cols], so A = Mat(P) packed Mat(Q) with P = rows^-1, Q = cols
+    return Permutation._unchecked(_inverse_map(rows)), Permutation._unchecked(cols), r

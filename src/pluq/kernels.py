@@ -1,12 +1,17 @@
 """Block update kernels: multiply-accumulate and the two triangular solves.
 
-Each kernel charges the OpCounts it is handed, independent of how the
-arithmetic is realized internally.  Field operations are charged in the
-paper's unit: one multiply-accumulate is one ``field_mul`` plus one
-``field_add``, a scaling by an inverted diagonal entry is one ``field_mul``,
-and each pivot inversion is one ``field_inv``; ``OpCounts.total_field_ops()``
-is the paper's "field operations".  Modular reductions follow the
-delayed-reduction model:
+All three are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
+place), and the two solves share one recursive solver, ``_solve_lower``
+(B <- L^-1 B, halving down to single rows).  B U^-1 is solved as
+(U^-T B^T)^T on transposed views.
+
+Each kernel charges the OpCounts it is handed at its public entry point,
+whatever reductions the update and the halving perform internally.  Field
+operations are charged in the paper's unit: one multiply-accumulate is one
+``field_mul`` plus one ``field_add``, a scaling by an inverted diagonal entry
+is one ``field_mul``, and each pivot inversion is one ``field_inv``;
+``OpCounts.total_field_ops()`` is the paper's "field operations".  Modular
+reductions follow the delayed-reduction model:
 
 * ``mm_acc`` (C <- C - A*B, A is m x k, B is k x n): m*n reductions (one per
   output entry), except 0 when k == 0 (an empty accumulation writes nothing).
@@ -33,7 +38,6 @@ from .field import PrimeField, inverse_mod
 from .matrix import OpCounts
 
 _PANEL_ROWS = 32
-_TRSM_BASE = 32
 
 
 class ClassicalKernels:
@@ -55,10 +59,14 @@ class ClassicalKernels:
         counts.modular_reductions += m * n
         counts.field_mul += m * n * k
         counts.field_add += m * n * k
+        self._sub_mul(c, a, b)
+
+    def _sub_mul(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """C <- (C - A @ B) mod p in place, one row panel at a time; charges nothing."""
         p = self.field.p
-        fused = k <= self.field.max_accumulate  # C - A @ B is exact
-        for lo in range(0, m, _PANEL_ROWS):
-            hi = min(lo + _PANEL_ROWS, m)
+        fused = a.shape[1] <= self.field.max_accumulate  # C - A @ B is exact
+        for lo in range(0, c.shape[0], _PANEL_ROWS):
+            hi = lo + _PANEL_ROWS
             panel = a[lo:hi] @ b if fused else self.field.matmul_mod(a[lo:hi], b)
             np.subtract(c[lo:hi], panel, out=panel)
             np.mod(panel, p, out=c[lo:hi])
@@ -76,20 +84,7 @@ class ClassicalKernels:
         counts.modular_reductions += r * n
         counts.field_mul += n * (r * (r - 1) // 2)
         counts.field_add += n * (r * (r - 1) // 2)
-        self._solve_unit_lower(l, b)
-
-    def _solve_unit_lower(self, l: np.ndarray, b: np.ndarray) -> None:
-        r = l.shape[0]
-        p = self.field.p
-        if r <= _TRSM_BASE:
-            for i in range(1, r):
-                acc = self.field.matmul_mod(l[i : i + 1, :i], b[:i])
-                b[i] = (b[i] - acc[0]) % p
-            return
-        h = r // 2
-        self._solve_unit_lower(l[:h, :h], b[:h])
-        b[h:] = (b[h:] - self.field.matmul_mod(l[h:, :h], b[:h])) % p
-        self._solve_unit_lower(l[h:, h:], b[h:])
+        self._solve_lower(l, b, None)
 
     def trsm_right_upper(self, b: np.ndarray, u: np.ndarray, counts: OpCounts) -> None:
         """B <- B U^-1 with U upper triangular, nonzero diagonal inverted up front."""
@@ -110,20 +105,19 @@ class ClassicalKernels:
         counts.field_add += m * (r * (r - 1) // 2)
         p = self.field.p
         inv_diag = np.array([inverse_mod(int(d), p) for d in diag], dtype=b.dtype)
-        self._solve_upper_right(b, u, inv_diag)
+        self._solve_lower(u.T, b.T, inv_diag)  # B U^-1 = (U^-T B^T)^T
 
-    def _solve_upper_right(self, b: np.ndarray, u: np.ndarray, inv_diag: np.ndarray) -> None:
-        r = u.shape[0]
-        p = self.field.p
-        if r <= _TRSM_BASE:
-            for j in range(r):
-                col = b[:, j]
-                if j:
-                    acc = self.field.matmul_mod(b[:, :j], u[:j, j : j + 1])
-                    col = (col - acc[:, 0]) % p
-                b[:, j] = (col * inv_diag[j]) % p
+    def _solve_lower(self, l: np.ndarray, b: np.ndarray, inv_diag: np.ndarray | None) -> None:
+        """B <- L^-1 B in place, L lower triangular with inverted diagonal
+        ``inv_diag``, or unit diagonal when it is None; charges nothing."""
+        r = l.shape[0]
+        if r == 1:
+            if inv_diag is not None:
+                b *= inv_diag[0]
+                b %= self.field.p
             return
         h = r // 2
-        self._solve_upper_right(b[:, :h], u[:h, :h], inv_diag[:h])
-        b[:, h:] = (b[:, h:] - self.field.matmul_mod(b[:, :h], u[:h, h:])) % p
-        self._solve_upper_right(b[:, h:], u[h:, h:], inv_diag[h:])
+        top, bottom = (None, None) if inv_diag is None else (inv_diag[:h], inv_diag[h:])
+        self._solve_lower(l[:h, :h], b[:h], top)
+        self._sub_mul(b[h:], l[h:, :h], b[:h])
+        self._solve_lower(l[h:, h:], b[h:], bottom)

@@ -98,7 +98,8 @@ def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
         raise RuntimeError("LEU integrity failure: Lbar is not unit lower triangular")
     if not _is_upper(ubar):
         raise RuntimeError("LEU integrity failure: Ubar is not upper triangular")
-    product = field.matmul_mod(field.matmul_mod(lbar, e), ubar)
+    # E is a partial permutation: Lbar E Ubar sums Lbar[:, rows[t]] Ubar[cols[t], :]
+    product = field.matmul_mod(lbar[:, rows], ubar[cols, :])
     if not np.array_equal(product, original.data):
         raise RuntimeError("LEU integrity failure: Lbar E Ubar != A")
 

@@ -127,8 +127,7 @@ class DenseMatrix:
 
     def to_text(self) -> str:
         lines = [f"{self.m} {self.n} {self.p}"]
-        for i in range(self.m):
-            lines.append(" ".join(str(int(v)) for v in self.data[i]))
+        lines += [" ".join(map(str, row)) for row in self.data.astype(np.int64).tolist()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -214,7 +213,7 @@ class Permutation:
         return DenseMatrix(field, mat)
 
     def serialize(self) -> str:
-        return " ".join(str(int(i)) for i in self.sigma)
+        return " ".join(map(str, self.sigma.tolist()))
 
     @classmethod
     def deserialize(cls, text: str, size: int | None = None) -> "Permutation":

@@ -142,27 +142,37 @@ def test_trsm_zero_diagonal_raises():
         kern.trsm_right_upper(np.zeros((2, 2), field.dtype), u.data, OpCounts())
 
 
-@pytest.mark.parametrize("p", [5, 1009])
+def _in_wider(arr, rng, p):
+    """``arr`` as a column slice of a wider array, as the recursion passes blocks."""
+    rows, cols = arr.shape
+    host = rng.integers(0, p, (rows, cols + 5)).astype(arr.dtype)
+    host[:, 2 : 2 + cols] = arr
+    return host[:, 2 : 2 + cols]
+
+
+@pytest.mark.parametrize("p", [5, 1009, 67108859, 2**31 - 1])  # float64, int64, large
 def test_trsm_remultiplication_restores(p):
+    # L and U share one block, as in the packed L\U layout, so each solve must
+    # ignore the other triangle; odd trials pass strided views.  At 2**31 - 1,
+    # max_accumulate is 2, so the updates inside a solve take the chunked path.
     rng = np.random.default_rng(p)
-    field = PrimeField(p)
+    field = PrimeField(p, allow_large_modulus=p > 2**26)
     kern = ClassicalKernels(field)
-    for _ in range(20):
+    for trial in range(20):
         r = int(rng.integers(1, 40))
         n = int(rng.integers(0, 40))
-        l = np.tril(rng.integers(0, p, (r, r)), -1).astype(field.dtype)
-        b = rng.integers(0, p, (r, n)).astype(field.dtype)
-        orig = b.copy()
-        kern.trsm_left_unit_lower(l, b, OpCounts())
-        lfull = l + np.eye(r, dtype=field.dtype)
-        assert np.array_equal(field.matmul_mod(lfull, b), orig)
-
-        u = np.triu(rng.integers(0, p, (r, r)), 1).astype(field.dtype)
-        u[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
-        b2 = rng.integers(0, p, (n, r)).astype(field.dtype) if n else np.zeros((0, r), field.dtype)
-        orig2 = b2.copy()
-        kern.trsm_right_upper(b2, u, OpCounts())
-        assert np.array_equal(field.matmul_mod(b2, u), orig2)
+        lu = rng.integers(0, p, (r, r)).astype(field.dtype)
+        lu[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
+        left = rng.integers(0, p, (r, n)).astype(field.dtype)
+        right = rng.integers(0, p, (n, r)).astype(field.dtype)
+        orig_left, orig_right = left.copy(), right.copy()
+        if trial % 2:
+            lu, left, right = (_in_wider(x, rng, p) for x in (lu, left, right))
+        kern.trsm_left_unit_lower(lu, left, OpCounts())
+        kern.trsm_right_upper(right, lu, OpCounts())
+        lower = np.tril(lu, -1) + np.eye(r, dtype=field.dtype)
+        assert np.array_equal(field.matmul_mod(lower, left), orig_left)
+        assert np.array_equal(field.matmul_mod(right, np.triu(lu)), orig_right)
 
 
 class RecordingKernels(ClassicalKernels):

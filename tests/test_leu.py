@@ -61,6 +61,10 @@ def test_to_leu_validates_original():
     f = pluq(a.copy())
     with pytest.raises(ValueError):
         to_leu(f, DenseMatrix.zeros(4, 5, a.field))
+    wrong = a.copy()
+    wrong.data[4, 3] = (wrong.data[4, 3] + 1) % 7
+    with pytest.raises(RuntimeError, match="Lbar E Ubar"):
+        to_leu(f, wrong)
 
 
 def test_conversion_holds_for_many_random_factorizations():

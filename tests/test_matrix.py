@@ -189,6 +189,7 @@ def test_permutation_serialization_roundtrip():
     sigma = Permutation([3, 1, 0, 2])
     assert Permutation.deserialize(sigma.serialize()) == sigma
     assert Permutation.deserialize("", size=0) == Permutation.identity(0)
+    assert sigma.serialize() == "3 1 0 2"
 
 
 # -- dense matrices -----------------------------------------------------------
@@ -216,6 +217,8 @@ def test_text_roundtrip():
     for m, n in [(3, 4), (1, 1), (0, 3), (3, 0), (0, 0)]:
         a = random_matrix(rng, m, n, 101)
         assert DenseMatrix.from_text(a.to_text()) == a
+    assert mat([[1, 0, 100], [7, 3, 2]], 101).to_text() == "2 3 101\n1 0 100\n7 3 2\n"
+    assert mat([[67108858, 0]], 67108859).to_text() == "1 2 67108859\n67108858 0\n"
 
 
 def test_text_rejects_bad_input():

@@ -33,3 +33,4 @@ def test_traced_run_matches_untraced_and_records_spans():
     assert np.array_equal(traced.packed.data, plain.packed.data)
     assert "matrix.apply" in tracer.names
     assert "iterative.base" in tracer.names and "kernels.mm_acc" in tracer.names
+    assert "kernels.trsm" in tracer.names
