@@ -17,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .field import inverse_mod
-from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors, _inverse_map
+from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
 
 
 def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
     """Decompose in place; returns factors sharing storage with ``a``."""
     counts = counts if counts is not None else OpCounts()
-    p_perm, q_perm, rank = _decompose_inplace(a.data, a.p, counts)
-    return PluqFactors(p_perm, q_perm, rank, a)
+    rows, cols, rank = _decompose_inplace(a.data, a.p, counts)
+    return PluqFactors(rows.inverse(), cols, rank, a)
 
 
 def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
@@ -83,5 +83,5 @@ def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
             rows[r : prow + 1] = np.concatenate((rows[prow : prow + 1], rows[r:prow]))
         r += 1
 
-    # packed = A[rows][:, cols], so A = Mat(P) packed Mat(Q) with P = rows^-1, Q = cols
-    return Permutation._unchecked(_inverse_map(rows)), Permutation._unchecked(cols), r
+    # gather orders: packed = A[rows][:, cols], so P = rows^-1 and Q = cols
+    return Permutation._unchecked(rows), Permutation._unchecked(cols), r

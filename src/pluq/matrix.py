@@ -3,8 +3,9 @@
 Permutation convention used everywhere in this package: the matrix of a
 permutation sigma has ``Mat(sigma)[i, sigma(i)] = 1``.  Consequently
 
-* ``(Mat(sigma) @ A)[i, :] == A[sigma(i), :]``
+* ``(Mat(sigma) @ A)[i, :] == A[sigma(i), :]``, which ``apply_rows`` forms
 * ``(A @ Mat(sigma))[:, j]`` is column ``sigma^-1(j)`` of ``A``
+* ``(A @ Mat(sigma)^T)[:, j] == A[:, sigma(j)]``, which ``apply_cols`` forms
 
 Blocks are addressed as numpy views into the parent storage (offset + strides),
 so every block operation of the decomposition runs in place.
@@ -244,16 +245,15 @@ def _inverse_map(sigma: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _permute_inplace(a: np.ndarray, tau: np.ndarray, axis: int, buf: np.ndarray | None) -> None:
-    # new[x] = old[tau(x)] along axis, via cycle walks with one line buffer;
-    # only the moved indices start a walk, and the walk indexes with Python ints.
+def _permute_inplace(lines: np.ndarray, tau: np.ndarray, buf: np.ndarray | None) -> None:
+    # new[x] = old[tau(x)] over the rows of ``lines``, via cycle walks with one
+    # line buffer; only the moved indices start a walk, indexed with Python ints.
     moved = np.flatnonzero(tau != np.arange(tau.shape[0])).tolist()
     if not moved:
         return
-    lines = a if axis == 0 else a.T
     width = lines.shape[1]
     if buf is None:
-        buf = np.empty(width, dtype=a.dtype)
+        buf = np.empty(width, dtype=lines.dtype)
     tmp = buf[:width]
     t = tau.tolist()
     done = set()
@@ -274,14 +274,14 @@ def apply_rows(a: np.ndarray, perm: Permutation, buf: np.ndarray | None = None) 
     """In place A <- Mat(perm) @ A on a (possibly strided) block view."""
     if perm.size != a.shape[0]:
         raise ValueError(f"row permutation size {perm.size} vs {a.shape[0]} rows")
-    _permute_inplace(a, perm.sigma, 0, buf)
+    _permute_inplace(a, perm.sigma, buf)
 
 
 def apply_cols(a: np.ndarray, perm: Permutation, buf: np.ndarray | None = None) -> None:
-    """In place A <- A @ Mat(perm) on a (possibly strided) block view."""
+    """In place A <- A @ Mat(perm)^T on a (possibly strided) block view."""
     if perm.size != a.shape[1]:
         raise ValueError(f"column permutation size {perm.size} vs {a.shape[1]} columns")
-    _permute_inplace(a, _inverse_map(perm.sigma), 1, buf)
+    _permute_inplace(a.T, perm.sigma, buf)
 
 
 @dataclass

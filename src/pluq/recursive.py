@@ -76,28 +76,24 @@ class TrackingWorkspace(Workspace):
 
 
 def build_s_perm(r1: int, r2: int, r3: int, r4: int, k: int, m: int) -> Permutation:
-    """Row block permutation: Mat(S)^T A reorders the four row blocks of
-    sizes (r1+r2, k-r1-r2, r3+r4, m-k-r3-r4) into (block1, block3, block2, block4)."""
+    """Row gather order that reorders the four row blocks of sizes
+    (r1+r2, k-r1-r2, r3+r4, m-k-r3-r4) into (block1, block3, block2, block4)."""
     if not (0 <= r1 + r2 <= k <= m and 0 <= r3 + r4 <= m - k):
         raise ValueError(f"inconsistent row block sizes ({r1},{r2},{r3},{r4},k={k},m={m})")
-    sigma = np.arange(m, dtype=np.int64)
-    sigma[r1 + r2 : k] += r3 + r4
-    sigma[k : k + r3 + r4] -= k - (r1 + r2)
-    return Permutation._unchecked(sigma)
+    a, b, ar = r1 + r2, k + r3 + r4, np.arange
+    blocks = (ar(a), ar(k, b), ar(a, k), ar(b, m))
+    return Permutation._unchecked(np.concatenate(blocks, dtype=np.int64))
 
 
 def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutation:
-    """Column block permutation: A Mat(T)^T reorders the six column blocks of
-    sizes (r1, r3, k-r1-r3, r2, r4, n-k-r2-r4) into (r1-block, r2-block,
-    r3-block, r4-block, remaining-left, remaining-right)."""
+    """Column gather order that reorders the six column blocks of sizes
+    (r1, r3, k-r1-r3, r2, r4, n-k-r2-r4) into (r1-block, r2-block, r3-block,
+    r4-block, remaining-left, remaining-right)."""
     if not (0 <= r1 + r3 <= k <= n and 0 <= r2 + r4 <= n - k):
         raise ValueError(f"inconsistent column block sizes ({r1},{r2},{r3},{r4},k={k},n={n})")
-    sigma = np.arange(n, dtype=np.int64)
-    sigma[r1 : r1 + r2] += k - r1
-    sigma[r1 + r2 : r1 + r2 + r3] -= r2
-    sigma[r1 + r2 + r3 : r1 + r2 + r3 + r4] += k + r2 - (r1 + r2 + r3)
-    sigma[r1 + r2 + r3 + r4 : k + r2 + r4] -= r2 + r4
-    return Permutation._unchecked(sigma)
+    a, b, ar = r1 + r3, k + r2, np.arange
+    blocks = (ar(r1), ar(k, b), ar(r1, a), ar(b, b + r4), ar(a, k), ar(b + r4, n))
+    return Permutation._unchecked(np.concatenate(blocks, dtype=np.int64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,14 +135,15 @@ def pluq(
         colbuf=ws.element_buffer(a.m, a.field.dtype),
     )
     try:
-        p_perm, q_perm, rank = _pluq_rec(a.data, ctx)
+        rows, cols, rank = _pluq_rec(a.data, ctx)
     finally:
         ws.release(ctx.rowbuf)
         ws.release(ctx.colbuf)
-    return PluqFactors(p_perm, q_perm, rank, a)
+    return PluqFactors(rows.inverse(), cols, rank, a)
 
 
 def _pluq_rec(data, ctx):
+    # returns gather orders, as the base case does: packed = data[rows][:, cols]
     m, n = data.shape
     if m == 0 or n == 0:
         return Permutation.identity(m), Permutation.identity(n), 0
@@ -157,10 +154,10 @@ def _pluq_rec(data, ctx):
     kr, kc = m // 2, n // 2
     ident = Permutation.identity
 
-    p1, q1, r1 = _pluq_rec(data[:kr, :kc], ctx)
+    rows1, cols1, r1 = _pluq_rec(data[:kr, :kc], ctx)
 
-    apply_rows(data[:kr, kc:], p1.inverse(), rowbuf)   # [B1; B2]
-    apply_cols(data[kr:, :kc], q1.inverse(), colbuf)   # [C1 | C2]
+    apply_rows(data[:kr, kc:], rows1, rowbuf)   # [B1; B2]
+    apply_cols(data[kr:, :kc], cols1, colbuf)   # [C1 | C2]
 
     kernels.trsm_left_unit_lower(data[:r1, :r1], data[:r1, kc:], counts)   # D
     kernels.trsm_right_upper(data[kr:, :r1], data[:r1, :r1], counts)      # E
@@ -168,15 +165,15 @@ def _pluq_rec(data, ctx):
     kernels.mm_acc(data[kr:, r1:kc], data[kr:, :r1], data[:r1, r1:kc], counts)  # G
     kernels.mm_acc(data[kr:, kc:], data[kr:, :r1], data[:r1, kc:], counts)      # H
 
-    p2, q2, r2 = _pluq_rec(data[r1:kr, kc:], ctx)
-    p3, q3, r3 = _pluq_rec(data[kr:, r1:kc], ctx)
+    rows2, cols2, r2 = _pluq_rec(data[r1:kr, kc:], ctx)
+    rows3, cols3, r3 = _pluq_rec(data[kr:, r1:kc], ctx)
 
-    apply_rows(data[kr:, kc:], p3.inverse(), rowbuf)
-    apply_cols(data[kr:, kc:], q2.inverse(), colbuf)
-    apply_rows(data[kr:, :r1], p3.inverse(), rowbuf)
-    apply_rows(data[r1:kr, :r1], p2.inverse(), rowbuf)
-    apply_cols(data[:r1, kc:], q2.inverse(), colbuf)
-    apply_cols(data[:r1, r1:kc], q3.inverse(), colbuf)
+    apply_rows(data[kr:, kc:], rows3, rowbuf)
+    apply_cols(data[kr:, kc:], cols2, colbuf)
+    apply_rows(data[kr:, :r1], rows3, rowbuf)
+    apply_rows(data[r1:kr, :r1], rows2, rowbuf)
+    apply_cols(data[:r1, kc:], cols2, colbuf)
+    apply_cols(data[:r1, r1:kc], cols3, colbuf)
 
     u2 = data[r1 : r1 + r2, kc : kc + r2]
     l3 = data[kr : kr + r3, r1 : r1 + r3]
@@ -195,22 +192,22 @@ def _pluq_rec(data, ctx):
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, kc : kc + r2], data[r1 : r1 + r2, kc + r2 :], counts)
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, r1 : r1 + r3], data[kr : kr + r3, kc + r2 :], counts)
 
-    p4, q4, r4 = _pluq_rec(data[kr + r3 :, kc + r2 :], ctx)
+    rows4, cols4, r4 = _pluq_rec(data[kr + r3 :, kc + r2 :], ctx)
 
-    apply_rows(data[kr + r3 :, : kc + r2], p4.inverse(), rowbuf)
-    apply_cols(data[: kr + r3, kc + r2 :], q4.inverse(), colbuf)
+    apply_rows(data[kr + r3 :, : kc + r2], rows4, rowbuf)
+    apply_cols(data[: kr + r3, kc + r2 :], cols4, colbuf)
 
     s_perm = build_s_perm(r1, r2, r3, r4, kr, m)
     t_perm = build_t_perm(r1, r2, r3, r4, kc, n)
-    apply_rows(data, s_perm.inverse(), rowbuf)
-    apply_cols(data, t_perm.inverse(), colbuf)
+    apply_rows(data, s_perm, rowbuf)
+    apply_cols(data, t_perm, colbuf)
 
-    p_left = p1.compose(perm_block_diag([ident(r1), p2]))
-    p_right = p3.compose(perm_block_diag([ident(r3), p4]))
-    p_perm = perm_block_diag([p_left, p_right]).compose(s_perm)
+    rows_top = perm_block_diag([ident(r1), rows2]).compose(rows1)
+    rows_bottom = perm_block_diag([ident(r3), rows4]).compose(rows3)
+    rows = s_perm.compose(perm_block_diag([rows_top, rows_bottom]))
 
-    q_left = perm_block_diag([ident(r1), q3]).compose(q1)
-    q_right = perm_block_diag([ident(r2), q4]).compose(q2)
-    q_perm = t_perm.compose(perm_block_diag([q_left, q_right]))
+    cols_left = perm_block_diag([ident(r1), cols3]).compose(cols1)
+    cols_right = perm_block_diag([ident(r2), cols4]).compose(cols2)
+    cols = t_perm.compose(perm_block_diag([cols_left, cols_right]))
 
-    return p_perm, q_perm, r1 + r2 + r3 + r4
+    return rows, cols, r1 + r2 + r3 + r4

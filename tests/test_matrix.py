@@ -124,7 +124,7 @@ def test_apply_cols_matches_explicit_product():
     sigma = Permutation(rng.permutation(7))
     by_apply = a.copy()
     apply_cols(by_apply.data, sigma)
-    explicit = field.matmul_mod(a.data, sigma.to_matrix(field).data)
+    explicit = field.matmul_mod(a.data, sigma.to_matrix(field).data.T)
     assert np.array_equal(by_apply.data, explicit)
 
 
@@ -179,7 +179,7 @@ def test_apply_on_strided_views_matches_gather(data, rows, cols, row_step, col_s
         expected = old[perm.sigma, :]  # Mat(sigma) @ A: row i is old row sigma(i)
     else:
         apply_cols(view, perm, buf)
-        expected = old[:, np.argsort(perm.sigma)]  # A @ Mat(sigma): column j is old column sigma^-1(j)
+        expected = old[:, perm.sigma]  # A @ Mat(sigma)^T: column j is old column sigma(j)
     assert np.array_equal(view, expected)
     view[...] = old
     assert np.array_equal(parent, before)  # nothing outside the view moved

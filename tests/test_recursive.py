@@ -117,22 +117,23 @@ def test_block_perms_validate_sizes():
 
 
 def test_block_perms_marker_matrix():
-    # rows: blocks of sizes (r1+r2, k-r1-r2, r3+r4, m-k-r3-r4) must land in
-    # order (1, 3, 2, 4); fill each block with a distinct tag and check.
-    r1 = r2 = r3 = r4 = 1
-    k, m = 4, 8
-    tags = np.concatenate([np.full(2, 10), np.full(2, 20), np.full(2, 30), np.full(2, 40)])
-    s = build_s_perm(r1, r2, r3, r4, k, m)
-    landed = tags[s.inverse().sigma]  # row i of S^T A is row sigma_S^-1(i) of A
-    assert landed.tolist() == [10, 10, 30, 30, 20, 20, 40, 40]
+    # Both builders return gather orders: line x of the result is line sigma(x)
+    # of the input.  Unequal block sizes make neither order its own inverse, so
+    # a builder that returned the inverse order would fail here.
+    r1, r2, r3, r4 = 2, 1, 1, 1
+    # rows: blocks of sizes (r1+r2, k-r1-r2, r3+r4, m-k-r3-r4) = (3, 3, 2, 3)
+    # must land in order (1, 3, 2, 4).
+    k, m = 6, 11
+    tags = np.repeat([10, 20, 30, 40], [3, 3, 2, 3])
+    landed = tags[build_s_perm(r1, r2, r3, r4, k, m).sigma]
+    assert landed.tolist() == [10, 10, 10, 30, 30, 20, 20, 20, 40, 40, 40]
 
-    # columns: source blocks (r1, r3, k-r1-r3, r2, r4, rest) reordered to
-    # (r1, r2, r3, r4, remaining-left, remaining-right).
-    k, n = 4, 9
-    tags = np.concatenate([[1], [3], np.full(2, 5), [2], [4], np.full(3, 6)])
-    t = build_t_perm(r1, r2, r3, r4, k, n)
-    landed = tags[t.sigma]  # column j of A T^T is column sigma_T(j) of A
-    assert landed.tolist() == [1, 2, 3, 4, 5, 5, 6, 6, 6]
+    # columns: source blocks (r1, r3, k-r1-r3, r2, r4, rest) = (2, 1, 3, 1, 1, 3)
+    # reordered to (r1, r2, r3, r4, remaining-left, remaining-right).
+    k, n = 6, 11
+    tags = np.repeat([1, 3, 5, 2, 4, 6], [2, 1, 3, 1, 1, 3])
+    landed = tags[build_t_perm(r1, r2, r3, r4, k, n).sigma]
+    assert landed.tolist() == [1, 1, 2, 3, 4, 5, 5, 5, 6, 6, 6]
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,3 +212,22 @@ def test_workspace_scratch_is_bounded():
     # two line buffers plus at most one r3 x r2 scratch live at any time
     assert ws.peak_elements <= ws.max_scratch_block + 2 * (64 + 64)
     assert ws.live_elements == 0
+
+
+def test_row_order_is_inverted_once_at_the_api(monkeypatch):
+    # The recursion and the base case carry gather orders; pluq() and
+    # pluq_iterative() each turn the row order into P with one inversion.
+    a = gen_rank_deficient_rect(48, 40, 20, 101, seed=5)
+    calls = []
+    inverse = Permutation.inverse
+
+    def counting_inverse(self):
+        calls.append(self.size)
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    for run in (lambda b: pluq(b, threshold=1), pluq, pluq_iterative):
+        calls.clear()
+        f = run(a.copy())
+        assert calls == [48]
+        assert f.reconstruct() == a

@@ -4,9 +4,6 @@ import runpy
 import sys
 from pathlib import Path
 
-from pluq.cli import BENCH_HEADER
-from pluq.recursive import DEFAULT_THRESHOLD
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -27,12 +24,3 @@ def test_reduction_counts_table(monkeypatch, capsys):
     for r in rows:
         assert r[1] == r[2]  # quadrant PLUQ at threshold 1 meets its closed form
         assert r[3] == r[4]  # row-major elimination meets its recurrence
-
-
-def test_bench_sweep_csv(monkeypatch, capsys):
-    lines = run_script("bench_sweep.py", ["--dims", "32", "--algos", "recursive"], monkeypatch, capsys)
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 2
-    cells = lines[1].split(",")
-    assert cells[:5] == ["recursive", "32", "32", "16", str(DEFAULT_THRESHOLD)]
-    assert float(cells[6]) >= 0  # seconds
