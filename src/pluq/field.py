@@ -1,10 +1,10 @@
 """Arithmetic modulo a word-size prime, tuned for delayed modular reduction.
 
-A ``PrimeField`` fixes the modulus and the numpy storage strategy used by the
-dense kernels: residues are kept canonical in ``[0, p)`` and row/column dot
-products are accumulated without intermediate reduction as long as the partial
-sums provably fit the accumulator (float64 mantissa for small p, int64
-otherwise), reducing once at the end.
+A ``PrimeField`` fixes the modulus.  Every field stores canonical residues in
+``[0, p)`` as float64, so the dense kernels run on BLAS whatever the modulus,
+and ``matmul_mod`` is the one place that keeps products exact: it reduces a
+dot product once at the end while the sum provably fits the 53-bit mantissa,
+and beyond that splits one factor into limbs whose products do fit.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from math import isqrt
 
 import numpy as np
 
-# Default ceiling on the modulus: with p < 2**26 a dot product of length
-# ~2**11 accumulates exactly in a signed 64-bit integer.
-DEFAULT_MODULUS_BOUND = 1 << 26
-# Hard ceiling even with allow_large_modulus: a single product must fit int64.
-ABSOLUTE_MODULUS_BOUND = 1 << 31
+# Ceiling on the modulus: it keeps trial division short and (p-1)**2 inside
+# int64, where the brute-force oracles eliminate.
+_MODULUS_BOUND = 1 << 31
 
 _F64_EXACT = 1 << 53
-_I64_EXACT = (1 << 63) - 1
 
 
 def is_prime(p: int) -> bool:
@@ -52,34 +49,28 @@ def inverse_mod(a: int, p: int) -> int:
 
 
 class PrimeField:
-    """The field Z/pZ for a prime p, with accumulation bounds for the kernels.
+    """The field Z/pZ for a prime p < 2**31, stored as float64.
 
-    ``dtype`` is float64 when every dot product up to length 2**13 is exact in
-    the 53-bit mantissa (p < ~2**20), which lets the kernels run on BLAS; for
-    larger p storage falls back to int64 and products are chunked.
+    ``max_accumulate`` is the longest k with k (p-1)^2 + (p-1) <= 2**53: a
+    length-k dot product of residues, added to or subtracted from a residue,
+    is exact in one pass.  It is 8192 for p just below 2**20, 2 just below
+    2**26 and 0 above about 2**26.5.
     """
 
-    __slots__ = ("p", "dtype", "max_accumulate")
+    __slots__ = ("p", "max_accumulate")
 
-    def __init__(self, p: int, *, allow_large_modulus: bool = False):
+    dtype = np.float64
+
+    def __init__(self, p: int):
         if not isinstance(p, int):
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
         # the bound first: trial division on a huge modulus would not finish
-        bound = ABSOLUTE_MODULUS_BOUND if allow_large_modulus else DEFAULT_MODULUS_BOUND
-        if p >= bound:
-            raise ValueError(
-                f"modulus {p} exceeds the bound {bound}; pass allow_large_modulus=True "
-                f"for p up to 2**31 (per-product reduction)"
-            )
+        if p >= _MODULUS_BOUND:
+            raise ValueError(f"modulus {p} exceeds the bound {_MODULUS_BOUND}")
         if not is_prime(p):
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
         self.p = p
-        sq = (p - 1) ** 2
-        self.dtype = np.float64 if sq * 8192 <= _F64_EXACT else np.int64
-        exact = _F64_EXACT if self.dtype == np.float64 else _I64_EXACT
-        # longest k with k (p-1)^2 + (p-1) exact: a length-k dot product of
-        # residues, added to or subtracted from one residue, stays exact
-        self.max_accumulate = (exact - (p - 1)) // sq
+        self.max_accumulate = (_F64_EXACT - (p - 1)) // (p - 1) ** 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -105,16 +96,25 @@ class PrimeField:
         return arr
 
     def matmul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact (a @ b) % p, chunking the inner dimension when it could overflow."""
-        k = a.shape[-1]
-        if k == 0:
-            return np.zeros((a.shape[0], b.shape[-1]), dtype=self.dtype)
-        if k <= self.max_accumulate:
-            return (a @ b) % self.p
-        out = np.zeros((a.shape[0], b.shape[-1]), dtype=self.dtype)
-        step = self.max_accumulate
-        for lo in range(0, k, step):
-            out += a[:, lo : lo + step] @ b[lo : lo + step]
-            out %= self.p
-        return out
+        """Exact (a @ b) % p.
 
+        While k <= ``max_accumulate`` this is one product.  Beyond, a is split
+        into base-2**bits limbs with (k+1) p 2**bits <= 2**53, so that
+        acc * 2**bits + limb @ b is exact for any acc < p, and the limb
+        products are recombined by Horner's rule, reducing after each limb.
+        The inner dimension is split only where even one-bit limbs could
+        round, (k+1) p > 2**52.
+        """
+        p, k = self.p, a.shape[-1]
+        if k <= self.max_accumulate:
+            return (a @ b) % p
+        step = min(k, (_F64_EXACT >> 1) // p - 1)
+        bits = (_F64_EXACT // ((step + 1) * p)).bit_length() - 1
+        out = None
+        for lo in range(0, k, step):
+            a_int, acc = a[:, lo : lo + step].astype(np.int64), 0.0
+            for shift in reversed(range(0, (p - 1).bit_length(), bits)):
+                limb = ((a_int >> shift) & ((1 << bits) - 1)).astype(np.float64)
+                acc = np.mod(acc * float(1 << bits) + limb @ b[lo : lo + step], p)
+            out = acc if out is None else np.mod(out + acc, p)
+        return out

@@ -17,17 +17,19 @@ from __future__ import annotations
 import numpy as np
 
 from .field import inverse_mod
+from .kernels import ClassicalKernels
 from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
 
 
 def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
     """Decompose in place; returns factors sharing storage with ``a``."""
     counts = counts if counts is not None else OpCounts()
-    rows, cols, rank = _decompose_inplace(a.data, a.p, counts)
+    rows, cols, rank = _decompose_inplace(a.data, ClassicalKernels(a.field), counts)
     return PluqFactors(rows.inverse(), cols, rank, a)
 
 
-def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
+def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCounts, trace=None):
+    field = kernels.field
     m, n = data.shape
     rows = np.arange(m, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
@@ -58,20 +60,13 @@ def _decompose_inplace(data: np.ndarray, p: int, counts: OpCounts, trace=None):
         prow, qcol = pivot
         below = m - prow - 1
         if below:
-            inv_piv = inverse_mod(int(data[prow, qcol]), p)
+            inv_piv = inverse_mod(int(data[prow, qcol]), field.p)
             counts.field_inv += 1
-            mults = (data[prow + 1 :, qcol] * inv_piv) % p
-            data[prow + 1 :, qcol] = mults
+            mults = data[prow + 1 :, qcol : qcol + 1]
+            mults[:] = field.matmul_mod(mults, np.full((1, 1), inv_piv, data.dtype))
             counts.field_mul += below
             counts.modular_reductions += below
-            right = n - qcol - 1
-            if right:
-                block = data[prow + 1 :, qcol + 1 :]
-                block -= np.outer(mults, data[prow, qcol + 1 :])
-                np.mod(block, p, out=block)
-                counts.field_mul += below * right
-                counts.field_add += below * right
-                counts.modular_reductions += below * right
+            kernels.mm_acc(data[prow + 1 :, qcol + 1 :], mults, data[prow : prow + 1, qcol + 1 :], counts)
 
         # Rotate the pivot into slot (r, r); the rows r..prow-1 and columns
         # r..qcol-1 shift by one, preserving their relative order.

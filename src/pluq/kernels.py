@@ -15,10 +15,11 @@ reductions follow the delayed-reduction model:
 
 * ``mm_acc`` (C <- C - A*B, A is m x k, B is k x n): m*n reductions (one per
   output entry), except 0 when k == 0 (an empty accumulation writes nothing).
-  That is also what runs whenever k (p-1)^2 + (p-1) fits the accumulator
-  (k <= ``PrimeField.max_accumulate``, at least 8192 on float64 storage):
-  C - A @ B is formed exactly and reduced once into C.  Otherwise the product
-  is reduced in chunks first.
+  That is also what runs whenever k (p-1)^2 + (p-1) fits the float64
+  mantissa (k <= ``PrimeField.max_accumulate``, at least 8192 for p < 2**20):
+  C - A @ B is formed exactly and reduced once into C.  Otherwise
+  ``PrimeField.matmul_mod`` forms the reduced product from limb-split
+  partial products first.
 * ``trsm_left_unit_lower`` (B <- L^-1 B, unit diagonal): r*n reductions, one
   per updated row entry.
 * ``trsm_right_upper`` (B <- B U^-1): 2*m*r reductions; the diagonal is
@@ -113,8 +114,7 @@ class ClassicalKernels:
         r = l.shape[0]
         if r == 1:
             if inv_diag is not None:
-                b *= inv_diag[0]
-                b %= self.field.p
+                b[:] = self.field.matmul_mod(inv_diag[:, None], b)
             return
         h = r // 2
         top, bottom = (None, None) if inv_diag is None else (inv_diag[:h], inv_diag[h:])

@@ -91,7 +91,7 @@ def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
     lbar = _conjugated_lower(factors, np.eye(m - r, dtype=field.dtype))
     ubar = _conjugated_upper(factors, np.zeros((n - r, n - r), dtype=field.dtype))
     e = np.zeros((m, n), dtype=field.dtype)
-    rows, cols = factors._support_arrays()
+    rows, cols = factors._support_arrays
     e[rows, cols] = 1
 
     if not _is_unit_lower(lbar):

@@ -14,6 +14,7 @@ so every block operation of the decomposition runs in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -322,11 +323,13 @@ class PluqFactors:
 
     def support_pairs(self) -> list[tuple[int, int]]:
         """Pivot supports (a_t, b_t): E = Mat(P) [I_r; 0] Mat(Q) has 1 at (a_t, b_t)."""
-        rows, cols = self._support_arrays()
+        rows, cols = self._support_arrays
         return list(zip(rows.tolist(), cols.tolist()))
 
+    @cached_property
     def _support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The a_t and the b_t of ``support_pairs`` as two int64 arrays."""
+        """The a_t and the b_t of ``support_pairs`` as two int64 arrays,
+        formed on first use; the permutations are not to change after that."""
         r = self.rank
         return _inverse_map(self.p_perm.sigma)[:r], self.q_perm.sigma[:r]
 

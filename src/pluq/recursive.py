@@ -98,10 +98,9 @@ def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutat
 
 @dataclass(frozen=True, slots=True)
 class _Ctx:
-    """What every recursion node shares: the modulus, the crossover, the
-    collaborators, and the two permutation line buffers."""
+    """What every recursion node shares: the crossover, the collaborators,
+    and the two permutation line buffers."""
 
-    p: int
     threshold: int
     counts: OpCounts
     kernels: ClassicalKernels
@@ -126,7 +125,6 @@ def pluq(
         raise ValueError("threshold must be a positive integer")
     ws = workspace if workspace is not None else Workspace()
     ctx = _Ctx(
-        p=a.p,
         threshold=threshold,
         counts=counts if counts is not None else OpCounts(),
         kernels=kernels if kernels is not None else ClassicalKernels(a.field),
@@ -148,7 +146,7 @@ def _pluq_rec(data, ctx):
     if m == 0 or n == 0:
         return Permutation.identity(m), Permutation.identity(n), 0
     if min(m, n) <= ctx.threshold:
-        return _decompose_inplace(data, ctx.p, ctx.counts)
+        return _decompose_inplace(data, ctx.kernels, ctx.counts)
     counts, kernels, rowbuf, colbuf = ctx.counts, ctx.kernels, ctx.rowbuf, ctx.colbuf
 
     kr, kc = m // 2, n // 2

@@ -139,6 +139,29 @@ def test_huge_modulus_exits_promptly(tmp_path, capsys):
     assert "exceeds the bound" in capsys.readouterr().err
 
 
+def test_modulus_below_2_31_round_trip(tmp_path, capsys):
+    p = 2**31 - 1  # every product at this modulus is limb-split
+    r0 = [0, p - 1, 5, p - 2, 1]
+    r1 = [p - 1, 3, p - 1, 0, 7]
+    rows = [r0, r1, [(x + y) % p for x, y in zip(r0, r1)], [2 * y % p for y in r1]]
+    src = write(tmp_path / "m.txt", mat(rows, p))
+    out = tmp_path / "f.txt"
+    assert main(["decompose", src, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == f"4 5 {p} 2"
+    assert main(["verify", src, str(out)]) == 0
+    assert main(["rank-profile", src, "--all-leading", "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["rank"] == 2 and len(payload["leading"]) == 30
+    assert payload["leading"][-1] == {"k": 4, "t": 5, "rows": [0, 1], "cols": [0, 1]}
+
+
+def test_modulus_above_2_31_exit_code(tmp_path, capsys):
+    src = tmp_path / "m.txt"
+    src.write_text("1 1 2147483659\n1\n")  # the first prime above 2**31
+    assert main(["decompose", str(src)]) == 2
+    assert "exceeds the bound" in capsys.readouterr().err
+
+
 def test_oversized_integers_exit_code(tmp_path, capsys):
     src = write(tmp_path / "m.txt", mat([[1, 0], [0, 1]], 5))
     out = tmp_path / "f.txt"

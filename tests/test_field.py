@@ -16,18 +16,19 @@ def test_modulus_must_be_prime():
 
 
 def test_modulus_bound_and_override():
-    with pytest.raises(ValueError):
-        PrimeField(67108879)  # prime just above 2**26
-    f = PrimeField(67108879, allow_large_modulus=True)
-    assert scalar_mul(f, 67108878, 67108878) == pow(67108878, 2, 67108879)
+    # every prime below 2**31 is accepted
+    for p in (67108879, 2**31 - 1):  # primes just above 2**26 and just below 2**31
+        f = PrimeField(p)
+        assert scalar_mul(f, p - 1, p - 1) == pow(p - 1, 2, p)
+        assert scalar_mul(f, p - 2, p - 3) == (p - 2) * (p - 3) % p
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        PrimeField(2147483659)  # prime just above 2**31
 
 
 def test_huge_modulus_rejected_before_primality_test():
     # trial division up to sqrt(2**61 - 1) would run for minutes
     with pytest.raises(ValueError, match="exceeds the bound"):
         PrimeField(2**61 - 1)
-    with pytest.raises(ValueError, match="exceeds the bound"):
-        PrimeField(2**61 - 1, allow_large_modulus=True)
 
 
 def test_is_prime_small():
@@ -146,12 +147,15 @@ def test_dot_accumulate_length_mismatch(f5):
 
 
 def test_storage_dtype_thresholds():
-    assert PrimeField(1009).dtype == np.float64
-    assert PrimeField((1 << 22) + 15).dtype == np.int64  # prime above the float64 cutoff
+    # one storage dtype for every accepted modulus
+    for p in (2, 1009, 1048573, (1 << 22) + 15, 67108859, 67108879, 2**31 - 1):
+        f = PrimeField(p)
+        assert f.dtype == np.float64
+        assert f.asarray([[0, p - 1]]).dtype == np.float64
 
 
 def test_matmul_mod_matches_bignum():
-    for p in (1009, (1 << 22) + 15):
+    for p in (1009, (1 << 22) + 15, 2**31 - 1):
         f = PrimeField(p)
         rng = np.random.default_rng(p)
         a = rng.integers(0, p, size=(7, 9), dtype=np.int64)
@@ -164,12 +168,22 @@ def test_matmul_mod_matches_bignum():
 
 
 def test_matmul_mod_chunked_matches_bignum():
-    # a large modulus forces a small overflow-safe accumulation bound, so the
-    # inner dimension is split into chunks with a reduction after each
-    f = PrimeField((1 << 30) + 3, allow_large_modulus=True)
-    k = 3 * f.max_accumulate + 1
-    ones = np.ones((1, k), dtype=f.dtype)
-    assert int(f.matmul_mod(ones, ones.T)[0, 0]) == k % f.p
+    # past max_accumulate the product is formed from limb-split partial
+    # products; entries p-1 give every partial sum its largest value
+    for p in (67108859, (1 << 30) + 3, 2**31 - 1):
+        f = PrimeField(p)
+        for k in (1, f.max_accumulate + 1, 512):
+            worst = np.full((2, k), p - 1, dtype=f.dtype)
+            assert f.matmul_mod(worst, worst.T).tolist() == [[k * (p - 1) ** 2 % p] * 2] * 2, (p, k)
+    # past (k+1) p = 2**52 even one-bit limbs could round, so the inner
+    # dimension is split as well; (p-1)^2 = 1 mod p
+    f = PrimeField(2**31 - 1)
+    k = 2_097_153
+    assert (k + 1) * f.p > 2**52
+    worst = np.full((1, k), f.p - 1, dtype=f.dtype)
+    assert int(f.matmul_mod(worst, worst.T)[0, 0]) == k % f.p
+    f = PrimeField((1 << 30) + 3)
+    k = 512
     rng = np.random.default_rng(30)
     a = rng.integers(f.p - 1000, f.p, size=(2, k), dtype=np.int64)
     b = rng.integers(f.p - 1000, f.p, size=(k, 3), dtype=np.int64)
@@ -186,5 +200,5 @@ def test_asarray_rejects_noncanonical(f5):
         with pytest.raises(ValueError):
             f5.asarray([[1.0, bad]])
         with pytest.raises(ValueError):
-            PrimeField(67108859).asarray([[1.0, bad]])  # int64 storage truncates silently
+            PrimeField(2**31 - 1).asarray([[1.0, bad]])  # at the widest modulus too
     assert f5.asarray([[4.0, 0.0]]).tolist() == [[4, 0]]

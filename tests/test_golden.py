@@ -32,19 +32,19 @@ def _sha(arr):
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.int64).tobytes()).hexdigest()
 
 
-# (name, p, allow_large_modulus, m, n, rank, seed, route): route is a threshold
-# for the recursive algorithm or "iterative"
+# (name, p, m, n, rank, seed, route): route is a threshold for the recursive
+# algorithm or "iterative"
 CASES = [
-    ("p1009-deficient-t1", 1009, False, 192, 160, 97, 11, 1),
-    ("p1009-deficient-t30", 1009, False, 192, 160, 97, 11, 30),
-    ("p1009-deficient-iterative", 1009, False, 192, 160, 97, 11, "iterative"),
-    ("p2^26-full-t30", 67108859, False, 96, 96, 96, 12, 30),
-    ("p2^31-large-t8", 2**31 - 1, True, 64, 48, 40, 13, 8),
+    ("p1009-deficient-t1", 1009, 192, 160, 97, 11, 1),
+    ("p1009-deficient-t30", 1009, 192, 160, 97, 11, 30),
+    ("p1009-deficient-iterative", 1009, 192, 160, 97, 11, "iterative"),
+    ("p2^26-full-t30", 67108859, 96, 96, 96, 12, 30),
+    ("p2^31-large-t8", 2**31 - 1, 64, 48, 40, 13, 8),
 ]
 
 
-def _outputs(p, allow_large, m, n, rank, seed, route):
-    field = PrimeField(p, allow_large_modulus=allow_large)
+def _outputs(p, m, n, rank, seed, route):
+    field = PrimeField(p)
     a = DenseMatrix(field, _leu_input(m, n, rank, p, seed))
     counts = OpCounts()
     if route == "iterative":

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pluq import (
+    ClassicalKernels,
     DenseMatrix,
     OpCounts,
     Permutation,
@@ -64,7 +65,7 @@ def test_frontier_monotonicity():
         m, n = (int(x) for x in rng.integers(0, 9, 2))
         a = random_matrix(rng, m, n, 3)
         trace = []
-        _decompose_inplace(a.data, 3, OpCounts(), trace=trace)
+        _decompose_inplace(a.data, ClassicalKernels(a.field), OpCounts(), trace=trace)
         last_i = last_j = 0
         for i, j, r in trace:
             assert last_i <= i <= m and last_j <= j <= n

@@ -55,7 +55,7 @@ def test_mm_acc_against_triple_loop():
 
 
 def test_mm_acc_large_modulus_int64_path():
-    p = 67108859  # prime below 2**26, stored as int64
+    p = 67108859  # prime below 2**26: k = 3000 takes the limb-split product
     field = PrimeField(p)
     kern = ClassicalKernels(field)
     rng = np.random.default_rng(4)
@@ -70,24 +70,23 @@ def test_mm_acc_large_modulus_int64_path():
             assert int(c[i, j]) == want
 
 
-@pytest.mark.parametrize("p, large", [
-    (67108859, False),  # int64 storage
-    (1048573, False),   # largest prime below 2**20, float64 storage
-    (2**31 - 1, True),  # allow_large_modulus, int64 storage
+@pytest.mark.parametrize("p", [
+    67108859,  # largest prime below 2**26: max_accumulate 2
+    1048573,   # largest prime below 2**20: max_accumulate 8192
+    2**31 - 1,  # max_accumulate 0: every product is limb-split
 ])
-def test_mm_acc_worst_case_at_the_fused_bound(p, large, monkeypatch):
-    # C - A @ B is formed unreduced while k (p-1)^2 + (p-1) fits the
-    # accumulator; one more term must take the chunked matmul_mod path.
-    field = PrimeField(p, allow_large_modulus=large)
-    exact = 2**53 if field.dtype == np.float64 else 2**63 - 1
-    k_fused = (exact - (p - 1)) // (p - 1) ** 2
+def test_mm_acc_worst_case_at_the_fused_bound(p, monkeypatch):
+    # C - A @ B is formed unreduced while k (p-1)^2 + (p-1) fits the float64
+    # mantissa; one more term must take the limb-split matmul_mod path.
+    field = PrimeField(p)
+    k_fused = (2**53 - (p - 1)) // (p - 1) ** 2
     assert field.max_accumulate == k_fused
     chunked = []
     original = PrimeField.matmul_mod
     monkeypatch.setattr(PrimeField, "matmul_mod",
                         lambda self, a, b: chunked.append(a.shape) or original(self, a, b))
     kern = ClassicalKernels(field)
-    for k in (k_fused, k_fused + 1, 2 * k_fused):  # the last: two full chunks
+    for k in (k_fused, k_fused + 1, 2 * k_fused):
         chunked.clear()
         m, n = 33, 2  # two row panels
         a = np.full((m, k), p - 1, dtype=field.dtype)
@@ -150,13 +149,14 @@ def _in_wider(arr, rng, p):
     return host[:, 2 : 2 + cols]
 
 
-@pytest.mark.parametrize("p", [5, 1009, 67108859, 2**31 - 1])  # float64, int64, large
+@pytest.mark.parametrize("p", [5, 1009, 67108859, 2**31 - 1])
 def test_trsm_remultiplication_restores(p):
     # L and U share one block, as in the packed L\U layout, so each solve must
     # ignore the other triangle; odd trials pass strided views.  At 2**31 - 1,
-    # max_accumulate is 2, so the updates inside a solve take the chunked path.
+    # max_accumulate is 0, so every update and every diagonal scaling inside a
+    # solve takes the limb-split product.
     rng = np.random.default_rng(p)
-    field = PrimeField(p, allow_large_modulus=p > 2**26)
+    field = PrimeField(p)
     kern = ClassicalKernels(field)
     for trial in range(20):
         r = int(rng.integers(1, 40))

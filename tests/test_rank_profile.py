@@ -11,6 +11,7 @@ from pluq import (
     pluq_iterative,
     row_rank_profile,
 )
+from pluq import matrix
 from pluq.oracle import all_leading_rank_profiles_naive
 from conftest import mat, random_matrix
 
@@ -81,3 +82,21 @@ def test_recursive_and_iterative_profiles_coincide():
         fi = pluq_iterative(a.copy())
         assert fr.rank == fi.rank
         assert sorted(fr.support_pairs()) == sorted(fi.support_pairs())
+
+
+def test_supports_are_formed_once_per_factors(monkeypatch):
+    # The pivot supports need P inverted: one factors object inverts it once,
+    # however many profile queries it answers.
+    def factors():
+        return pluq(gen_rank_deficient_rect(24, 20, 9, 101, seed=2))
+
+    reference = factors()
+    queries = [(leading_rank_profiles, (k % 25, k % 21)) for k in range(34)]
+    queries += [(row_rank_profile, ()), (col_rank_profile, ())] * 33
+    expected = [query(reference, *args) for query, args in queries]
+    f = factors()
+    calls = []
+    inverse_map = matrix._inverse_map
+    monkeypatch.setattr(matrix, "_inverse_map", lambda sigma: calls.append(sigma.size) or inverse_map(sigma))
+    assert [query(f, *args) for query, args in queries] == expected
+    assert len(queries) == 100 and len(calls) <= 1
