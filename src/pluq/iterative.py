@@ -2,14 +2,16 @@
 
 The pivot search walks a Z-curve frontier (i, j): at each step it probes the
 column segment A[r:i, j], then the row segment A[i, r:j], then the corner
-A[i, j].  A pivot found at (p, q) eliminates everything below it to its
-right; the pivot row and column are then rotated into position r, shifting
-the rows/columns in between by one slot.  The rotation (rather than a plain
-swap) keeps the remaining rows and columns in their original relative order,
-which is what makes every pivot the lexicographically earliest available one
-and lets the permutations reveal the rank profiles of all leading
-submatrices.  Output is the same packed [L\\U, V; M, 0] layout as the
-block-recursive algorithm, which uses this routine as its base case.
+A[i, j].  A step whose probes all miss jumps straight to the first later step
+whose probes reach a nonzero, and the search ends when none is left.  A pivot
+found at (p, q) eliminates everything below it to its right; the pivot row and
+column are then rotated into position r, shifting the rows/columns in between
+by one slot.  The rotation (rather than a plain swap) keeps the remaining rows
+and columns in their original relative order, which is what makes every pivot
+the lexicographically earliest available one and lets the permutations reveal
+the rank profiles of all leading submatrices.  Output is the same packed
+[L\\U, V; M, 0] layout as the block-recursive algorithm, which uses this
+routine as its base case.
 """
 
 from __future__ import annotations
@@ -53,8 +55,17 @@ def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCo
                 i += 1
                 j += 1
         if pivot is None:
-            i = min(i + 1, m)
-            j = min(j + 1, n)
+            # data[r:i, r:j] is zero, so the first step whose probes reach a
+            # nonzero (a, b) is max(a - i, b - j) further on; in each row the
+            # first nonzero is reached first
+            nz = data[r:, r:] != 0
+            a = np.flatnonzero(nz.any(axis=1))
+            if not a.size:
+                break
+            b = nz.argmax(axis=1)[a]
+            s = int(np.maximum(a + (r - i), b + (r - j)).min())
+            i = min(i + s, m)
+            j = min(j + s, n)
             continue
 
         prow, qcol = pivot
@@ -71,12 +82,19 @@ def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCo
         # Rotate the pivot into slot (r, r); the rows r..prow-1 and columns
         # r..qcol-1 shift by one, preserving their relative order.
         if qcol > r:
-            data[:, r : qcol + 1] = np.roll(data[:, r : qcol + 1], 1, axis=1)
-            cols[r : qcol + 1] = np.concatenate((cols[qcol : qcol + 1], cols[r:qcol]))
+            _rotate(data.T, r, qcol)
+            _rotate(cols, r, qcol)
         if prow > r:
-            data[r : prow + 1, :] = np.roll(data[r : prow + 1, :], 1, axis=0)
-            rows[r : prow + 1] = np.concatenate((rows[prow : prow + 1], rows[r:prow]))
+            _rotate(data, r, prow)
+            _rotate(rows, r, prow)
         r += 1
 
     # gather orders: packed = A[rows][:, cols], so P = rows^-1 and Q = cols
     return Permutation._unchecked(rows), Permutation._unchecked(cols), r
+
+
+def _rotate(lines: np.ndarray, r: int, k: int) -> None:
+    """Move line k (along axis 0) to slot r in place, shifting lines r..k-1 down."""
+    line = lines[k].copy()
+    lines[r + 1 : k + 1] = lines[r:k]
+    lines[r] = line

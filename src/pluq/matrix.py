@@ -146,13 +146,14 @@ class DenseMatrix:
         body, trailing = lines[1 : 1 + m], lines[1 + m :]
         if len(body) != m or any(ln.strip() for ln in trailing):
             raise ValueError(f"expected exactly {m} rows after the header")
-        rows = np.zeros((m, n), dtype=np.int64)
-        for i, ln in enumerate(body):
-            vals = [int(x) for x in ln.split()]
+        tokens = [ln.split() for ln in body]
+        for i, vals in enumerate(tokens):  # before allocating, so n is backed by the text
             if len(vals) != n:
                 raise ValueError(f"row {i} has {len(vals)} entries, expected {n}")
+        rows = np.zeros((m, n), dtype=np.int64)
+        for i, vals in enumerate(tokens):
             try:
-                rows[i] = vals
+                rows[i] = [int(x) for x in vals]
             except OverflowError:
                 raise ValueError(f"row {i} has an entry outside the int64 range") from None
         return cls(field, rows)  # asarray rejects out-of-range residues

@@ -143,7 +143,7 @@ def pluq(
 def _pluq_rec(data, ctx):
     # returns gather orders, as the base case does: packed = data[rows][:, cols]
     m, n = data.shape
-    if m == 0 or n == 0:
+    if not data.any():  # empty or zero: rank 0, nothing moves, every kernel would charge 0
         return Permutation.identity(m), Permutation.identity(n), 0
     if min(m, n) <= ctx.threshold:
         return _decompose_inplace(data, ctx.kernels, ctx.counts)

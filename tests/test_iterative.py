@@ -15,6 +15,7 @@ from pluq import (
     pluq_iterative,
     rank_naive,
 )
+from pluq.field import inverse_mod
 from pluq.iterative import _decompose_inplace
 from conftest import mat, random_matrix
 
@@ -107,3 +108,105 @@ def test_determinism():
     f2 = pluq_iterative(a.copy())
     assert f1.p_perm == f2.p_perm and f1.q_perm == f2.q_perm
     assert np.array_equal(f1.packed.data, f2.packed.data)
+
+
+def _decompose_stepwise(data, kernels, counts, trace):
+    """The base case before the frontier jumps and in-place rotations: one
+    Z-curve step per loop iteration.  Kept as the reference for the fast one."""
+    field = kernels.field
+    m, n = data.shape
+    rows = np.arange(m, dtype=np.int64)
+    cols = np.arange(n, dtype=np.int64)
+    r = i = j = 0
+    while i < m or j < n:
+        trace.append((i, j, r))
+        pivot = None
+        if j < n:
+            nz = np.nonzero(data[r:i, j])[0]
+            if nz.size:
+                pivot = (r + int(nz[0]), j)
+                j += 1
+        if pivot is None and i < m:
+            nz = np.nonzero(data[i, r:j])[0]
+            if nz.size:
+                pivot = (i, r + int(nz[0]))
+                i += 1
+            elif j < n and data[i, j] != 0:
+                pivot = (i, j)
+                i += 1
+                j += 1
+        if pivot is None:
+            i = min(i + 1, m)
+            j = min(j + 1, n)
+            continue
+
+        prow, qcol = pivot
+        below = m - prow - 1
+        if below:
+            inv_piv = inverse_mod(int(data[prow, qcol]), field.p)
+            counts.field_inv += 1
+            mults = data[prow + 1 :, qcol : qcol + 1]
+            mults[:] = field.matmul_mod(mults, np.full((1, 1), inv_piv, data.dtype))
+            counts.field_mul += below
+            counts.modular_reductions += below
+            kernels.mm_acc(data[prow + 1 :, qcol + 1 :], mults, data[prow : prow + 1, qcol + 1 :], counts)
+
+        if qcol > r:
+            data[:, r : qcol + 1] = np.roll(data[:, r : qcol + 1], 1, axis=1)
+            cols[r : qcol + 1] = np.concatenate((cols[qcol : qcol + 1], cols[r:qcol]))
+        if prow > r:
+            data[r : prow + 1, :] = np.roll(data[r : prow + 1, :], 1, axis=0)
+            rows[r : prow + 1] = np.concatenate((rows[prow : prow + 1], rows[r:prow]))
+        r += 1
+    return rows, cols, r
+
+
+@st.composite
+def _sparse_blocks(draw):
+    p = draw(st.sampled_from([2, 1009, 2**31 - 1]))
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["sparse", "low-rank", "last-row", "last-col"]))
+    data = np.zeros((m, n), dtype=object)
+    if layout == "sparse":
+        density = draw(st.floats(0, 0.2))
+        data[:] = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < density)
+    elif layout == "low-rank":
+        k = draw(st.integers(1, 4))
+        left = rng.integers(0, p, size=(m, k)) * (rng.random((m, k)) < 0.3)
+        right = rng.integers(0, p, size=(k, n)) * (rng.random((k, n)) < 0.3)
+        data[:] = left.astype(object).dot(right.astype(object)) % p
+    elif m and n:  # one nonzero, somewhere in the last row or the last column
+        at = int(rng.integers(0, n if layout == "last-row" else m))
+        data[(m - 1, at) if layout == "last-row" else (at, n - 1)] = int(rng.integers(1, p))
+    return DenseMatrix(PrimeField(p), data.astype(np.int64))
+
+
+class _BoundedTrace(list):
+    """Frontier trace that fails once the walk takes more steps than i + j
+    can grow, instead of letting a frontier that stopped advancing hang."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, step):
+        assert len(self) < self.limit, f"frontier stalled at {step}"
+        super().append(step)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_sparse_blocks())
+def test_frontier_jump_matches_stepwise_reference(a):
+    kernels = ClassicalKernels(a.field)
+    ref_data, ref_counts, ref_trace = a.data.copy(), OpCounts(), []
+    ref_rows, ref_cols, ref_rank = _decompose_stepwise(ref_data, kernels, ref_counts, ref_trace)
+    counts, trace = OpCounts(), _BoundedTrace(a.m + a.n)
+    rows, cols, rank = _decompose_inplace(a.data, kernels, counts, trace=trace)
+    assert np.array_equal(rows.sigma, ref_rows) and np.array_equal(cols.sigma, ref_cols)
+    assert rank == ref_rank
+    assert np.array_equal(a.data, ref_data)
+    assert counts == ref_counts
+    # every frontier step the jump lands on is one the stepwise walk visits
+    steps = iter(ref_trace)
+    assert all(step in steps for step in trace)

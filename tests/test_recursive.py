@@ -14,8 +14,9 @@ from pluq import (
     pluq_iterative,
     rank_naive,
 )
+from pluq import recursive
 from pluq.oracle import LeadingProfileTable
-from pluq.recursive import build_s_perm, build_t_perm
+from pluq.recursive import DEFAULT_THRESHOLD, build_s_perm, build_t_perm
 from conftest import mat, random_matrix
 
 
@@ -231,3 +232,37 @@ def test_row_order_is_inverted_once_at_the_api(monkeypatch):
         f = run(a.copy())
         assert calls == [48]
         assert f.reconstruct() == a
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (1, 300), (300, 200), (512, 512)])
+def test_zero_input_returns_before_any_base_call(monkeypatch, shape):
+    # A zero block has rank 0 and nothing to move, so the recursion returns
+    # at its root without reaching the base case or any kernel.
+    calls = []
+    base = recursive._decompose_inplace
+
+    def counting_base(*args, **kwargs):
+        calls.append(args[0].shape)
+        return base(*args, **kwargs)
+
+    monkeypatch.setattr(recursive, "_decompose_inplace", counting_base)
+    a = DenseMatrix.zeros(*shape, PrimeField(1009))
+    storage, counts = a.data, OpCounts()
+    f = pluq(a, threshold=1, counts=counts)
+    assert calls == []
+    assert counts == OpCounts()
+    assert f.packed.data is storage and not storage.any()
+    assert f.rank == 0 and f.p_perm.is_identity() and f.q_perm.is_identity()
+
+
+@pytest.mark.parametrize("threshold", [1, DEFAULT_THRESHOLD])
+@pytest.mark.parametrize("shape", [(1, 300), (300, 200), (64, 64)])
+def test_lone_bottom_right_entry_reconstructs(threshold, shape):
+    # every block the recursion visits before the last one is zero
+    a = DenseMatrix.zeros(*shape, PrimeField(1009))
+    a.data[-1, -1] = 7
+    orig = a.copy()
+    f = pluq(a, threshold=threshold)
+    assert f.rank == 1
+    assert f.reconstruct() == orig
+    assert not f.check_structure()
