@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import inverse_mod
 from .kernels import ClassicalKernels
-from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
+from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors, _permute_inplace
 
 
 def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
@@ -82,19 +82,19 @@ def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCo
         # Rotate the pivot into slot (r, r); the rows r..prow-1 and columns
         # r..qcol-1 shift by one, preserving their relative order.
         if qcol > r:
-            _rotate(data.T, r, qcol)
-            _rotate(cols, r, qcol)
+            _rotate(data.T, cols, r, qcol)
         if prow > r:
-            _rotate(data, r, prow)
-            _rotate(rows, r, prow)
+            _rotate(data, rows, r, prow)
         r += 1
 
     # gather orders: packed = A[rows][:, cols], so P = rows^-1 and Q = cols
     return Permutation._unchecked(rows), Permutation._unchecked(cols), r
 
 
-def _rotate(lines: np.ndarray, r: int, k: int) -> None:
-    """Move line k (along axis 0) to slot r in place, shifting lines r..k-1 down."""
-    line = lines[k].copy()
-    lines[r + 1 : k + 1] = lines[r:k]
-    lines[r] = line
+def _rotate(lines: np.ndarray, order: np.ndarray, r: int, k: int) -> None:
+    """Move line k of ``lines`` (along axis 0) and entry k of ``order`` to
+    slot r in place, shifting r..k-1 down: the gather [k, r, ..., k-1]."""
+    tau = np.arange(-1, k - r)
+    tau[0] = k - r
+    _permute_inplace(lines[r : k + 1], tau)
+    order[r : k + 1] = order[r : k + 1][tau]

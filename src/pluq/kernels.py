@@ -36,9 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import PrimeField, inverse_mod
-from .matrix import OpCounts
-
-_PANEL_ROWS = 32
+from .matrix import _PANEL_ROWS, OpCounts
 
 
 class ClassicalKernels:

@@ -22,6 +22,10 @@ from .field import PrimeField
 
 _DECIMAL_CHARS = b"0123456789 \t\r\n"
 
+# Rows per multiply panel in ``kernels``; a permutation gather's temporary
+# holds at most this many lines' worth of elements too.
+_PANEL_ROWS = 32
+
 
 def _check_decimal_text(text: str) -> None:
     """Reject text with any character besides ASCII digits, spaces, tabs and
@@ -29,6 +33,26 @@ def _check_decimal_text(text: str) -> None:
     this is one C-level pass over the whole text instead of a check per token."""
     if not text.isascii() or text.encode("ascii").translate(None, _DECIMAL_CHARS):
         raise ValueError("expected ASCII decimal integers separated by whitespace")
+
+
+def _parse_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The integers of checked decimal ``lines`` as one int64 array, and how
+    many each line holds.  The counts come from the bytes (a digit after a
+    non-digit starts a token), so no line is split in Python."""
+    raw = "".join(ln + "\n" for ln in lines).encode("ascii")
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digit = chars > ord(" ")  # digits are the only checked characters above the space
+    starts = digit.copy()
+    starts[1:] &= ~digit[:-1]
+    line_ends = np.flatnonzero(chars == ord("\n"))
+    per_line = np.add.reduceat(starts, np.r_[0, line_ends + 1][:-1], dtype=np.int64)
+    total = int(per_line.sum())
+    values = np.fromstring(raw, sep=" ", dtype=np.int64) if total else np.zeros(0, np.int64)
+    if values.size != total:
+        raise ValueError(f"read {values.size} integers from {total} tokens")
+    if total and values.max() == np.iinfo(np.int64).max:  # where the parse saturates
+        raise ValueError("an integer is outside the int64 range")
+    return values, per_line
 
 
 @dataclass
@@ -146,17 +170,12 @@ class DenseMatrix:
         body, trailing = lines[1 : 1 + m], lines[1 + m :]
         if len(body) != m or any(ln.strip() for ln in trailing):
             raise ValueError(f"expected exactly {m} rows after the header")
-        tokens = [ln.split() for ln in body]
-        for i, vals in enumerate(tokens):  # before allocating, so n is backed by the text
-            if len(vals) != n:
-                raise ValueError(f"row {i} has {len(vals)} entries, expected {n}")
-        rows = np.zeros((m, n), dtype=np.int64)
-        for i, vals in enumerate(tokens):
-            try:
-                rows[i] = [int(x) for x in vals]
-            except OverflowError:
-                raise ValueError(f"row {i} has an entry outside the int64 range") from None
-        return cls(field, rows)  # asarray rejects out-of-range residues
+        values, per_line = _parse_lines(body)
+        bad = np.flatnonzero(per_line != n)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"row {i} has {per_line[i]} entries, expected {n}")
+        return cls(field, values.reshape(m, n))  # asarray rejects out-of-range residues
 
 
 class Permutation:
@@ -221,13 +240,10 @@ class Permutation:
     @classmethod
     def deserialize(cls, text: str, size: int | None = None) -> "Permutation":
         _check_decimal_text(text)
-        vals = [int(x) for x in text.split()]
-        if size is not None and len(vals) != size:
-            raise ValueError(f"expected permutation of size {size}, got {len(vals)} indices")
-        try:
-            return cls(np.asarray(vals, dtype=np.int64))
-        except OverflowError:
-            raise ValueError("permutation index outside the int64 range") from None
+        vals = _parse_lines([text])[0]
+        if size is not None and vals.size != size:
+            raise ValueError(f"expected permutation of size {size}, got {vals.size} indices")
+        return cls(vals)
 
 
 def perm_block_diag(perms: list[Permutation]) -> Permutation:
@@ -247,43 +263,32 @@ def _inverse_map(sigma: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _permute_inplace(lines: np.ndarray, tau: np.ndarray, buf: np.ndarray | None) -> None:
-    # new[x] = old[tau(x)] over the rows of ``lines``, via cycle walks with one
-    # line buffer; only the moved indices start a walk, indexed with Python ints.
-    moved = np.flatnonzero(tau != np.arange(tau.shape[0])).tolist()
-    if not moved:
+def _permute_inplace(lines: np.ndarray, tau: np.ndarray) -> None:
+    # new[x] = old[tau(x)] over the rows of ``lines``: gather the moved span
+    # [lo, hi) in chunks of the other axis, so the temporary holds at most
+    # _PANEL_ROWS * lines.shape[0] elements, as a multiply panel does.
+    moved = (tau != np.arange(tau.shape[0])).nonzero()[0]
+    if not moved.size:
         return
-    width = lines.shape[1]
-    if buf is None:
-        buf = np.empty(width, dtype=lines.dtype)
-    tmp = buf[:width]
-    t = tau.tolist()
-    done = set()
-    for start in moved:
-        if start in done:
-            continue
-        tmp[:] = lines[start]
-        j = start
-        while t[j] != start:
-            lines[j] = lines[t[j]]
-            done.add(j)
-            j = t[j]
-        lines[j] = tmp
-        done.add(j)
+    lo, hi = int(moved[0]), int(moved[-1]) + 1
+    src = tau[lo:hi]
+    step = _PANEL_ROWS * lines.shape[0] // (hi - lo)
+    for c0 in range(0, lines.shape[1], step):
+        lines[lo:hi, c0 : c0 + step] = lines[src, c0 : c0 + step]
 
 
-def apply_rows(a: np.ndarray, perm: Permutation, buf: np.ndarray | None = None) -> None:
+def apply_rows(a: np.ndarray, perm: Permutation) -> None:
     """In place A <- Mat(perm) @ A on a (possibly strided) block view."""
     if perm.size != a.shape[0]:
         raise ValueError(f"row permutation size {perm.size} vs {a.shape[0]} rows")
-    _permute_inplace(a, perm.sigma, buf)
+    _permute_inplace(a, perm.sigma)
 
 
-def apply_cols(a: np.ndarray, perm: Permutation, buf: np.ndarray | None = None) -> None:
+def apply_cols(a: np.ndarray, perm: Permutation) -> None:
     """In place A <- A @ Mat(perm)^T on a (possibly strided) block view."""
     if perm.size != a.shape[1]:
         raise ValueError(f"column permutation size {perm.size} vs {a.shape[1]} columns")
-    _permute_inplace(a.T, perm.sigma, buf)
+    _permute_inplace(a.T, perm.sigma)
 
 
 @dataclass

@@ -7,7 +7,8 @@ round of updates forms the bottom-right Schur-type block for the fourth call,
 and two block permutations S (rows) and T (columns) gather the factors into
 the packed [L\\U, V; M, 0] layout.  Everything runs inside the input storage;
 the one licensed scratch buffer is the copy of the block that a triangular
-solve would otherwise destroy, of size r3 x r2.
+solve would otherwise destroy, of size r3 x r2.  Permutations gather in
+bounded panels (see ``matrix._permute_inplace``) and need no buffer.
 
 A block with at most ``threshold`` rows or columns, which includes every
 single row and column, goes to the iterative Z-curve algorithm.
@@ -38,8 +39,8 @@ class Workspace:
     """Source of the decomposition's auxiliary element buffers.
 
     The recursion requests every element buffer it needs through this object
-    (two permutation line buffers plus the r3 x r2 triangular-solve scratch),
-    which is what lets the in-place contract be asserted by tests.
+    (the r3 x r2 triangular-solve scratch, the only one), which is what lets
+    the in-place contract be asserted by tests.
     """
 
     def element_buffer(self, shape, dtype) -> np.ndarray:
@@ -63,8 +64,7 @@ class TrackingWorkspace(Workspace):
         self._sizes[id(buf)] = buf.size
         self.live_elements += buf.size
         self.peak_elements = max(self.peak_elements, self.live_elements)
-        if buf.ndim == 2:
-            self.scratch_blocks.append(buf.size)
+        self.scratch_blocks.append(buf.size)
         return buf
 
     def release(self, buf: np.ndarray) -> None:
@@ -98,15 +98,12 @@ def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutat
 
 @dataclass(frozen=True, slots=True)
 class _Ctx:
-    """What every recursion node shares: the crossover, the collaborators,
-    and the two permutation line buffers."""
+    """What every recursion node shares: the crossover and the collaborators."""
 
     threshold: int
     counts: OpCounts
     kernels: ClassicalKernels
     ws: Workspace
-    rowbuf: np.ndarray
-    colbuf: np.ndarray
 
 
 def pluq(
@@ -123,20 +120,13 @@ def pluq(
     """
     if threshold < 1:
         raise ValueError("threshold must be a positive integer")
-    ws = workspace if workspace is not None else Workspace()
     ctx = _Ctx(
         threshold=threshold,
         counts=counts if counts is not None else OpCounts(),
         kernels=kernels if kernels is not None else ClassicalKernels(a.field),
-        ws=ws,
-        rowbuf=ws.element_buffer(a.n, a.field.dtype),
-        colbuf=ws.element_buffer(a.m, a.field.dtype),
+        ws=workspace if workspace is not None else Workspace(),
     )
-    try:
-        rows, cols, rank = _pluq_rec(a.data, ctx)
-    finally:
-        ws.release(ctx.rowbuf)
-        ws.release(ctx.colbuf)
+    rows, cols, rank = _pluq_rec(a.data, ctx)
     return PluqFactors(rows.inverse(), cols, rank, a)
 
 
@@ -147,15 +137,15 @@ def _pluq_rec(data, ctx):
         return Permutation.identity(m), Permutation.identity(n), 0
     if min(m, n) <= ctx.threshold:
         return _decompose_inplace(data, ctx.kernels, ctx.counts)
-    counts, kernels, rowbuf, colbuf = ctx.counts, ctx.kernels, ctx.rowbuf, ctx.colbuf
+    counts, kernels = ctx.counts, ctx.kernels
 
     kr, kc = m // 2, n // 2
     ident = Permutation.identity
 
     rows1, cols1, r1 = _pluq_rec(data[:kr, :kc], ctx)
 
-    apply_rows(data[:kr, kc:], rows1, rowbuf)   # [B1; B2]
-    apply_cols(data[kr:, :kc], cols1, colbuf)   # [C1 | C2]
+    apply_rows(data[:kr, kc:], rows1)   # [B1; B2]
+    apply_cols(data[kr:, :kc], cols1)   # [C1 | C2]
 
     kernels.trsm_left_unit_lower(data[:r1, :r1], data[:r1, kc:], counts)   # D
     kernels.trsm_right_upper(data[kr:, :r1], data[:r1, :r1], counts)      # E
@@ -166,12 +156,12 @@ def _pluq_rec(data, ctx):
     rows2, cols2, r2 = _pluq_rec(data[r1:kr, kc:], ctx)
     rows3, cols3, r3 = _pluq_rec(data[kr:, r1:kc], ctx)
 
-    apply_rows(data[kr:, kc:], rows3, rowbuf)
-    apply_cols(data[kr:, kc:], cols2, colbuf)
-    apply_rows(data[kr:, :r1], rows3, rowbuf)
-    apply_rows(data[r1:kr, :r1], rows2, rowbuf)
-    apply_cols(data[:r1, kc:], cols2, colbuf)
-    apply_cols(data[:r1, r1:kc], cols3, colbuf)
+    apply_rows(data[kr:, kc:], rows3)
+    apply_cols(data[kr:, kc:], cols2)
+    apply_rows(data[kr:, :r1], rows3)
+    apply_rows(data[r1:kr, :r1], rows2)
+    apply_cols(data[:r1, kc:], cols2)
+    apply_cols(data[:r1, r1:kc], cols3)
 
     u2 = data[r1 : r1 + r2, kc : kc + r2]
     l3 = data[kr : kr + r3, r1 : r1 + r3]
@@ -192,13 +182,13 @@ def _pluq_rec(data, ctx):
 
     rows4, cols4, r4 = _pluq_rec(data[kr + r3 :, kc + r2 :], ctx)
 
-    apply_rows(data[kr + r3 :, : kc + r2], rows4, rowbuf)
-    apply_cols(data[: kr + r3, kc + r2 :], cols4, colbuf)
+    apply_rows(data[kr + r3 :, : kc + r2], rows4)
+    apply_cols(data[: kr + r3, kc + r2 :], cols4)
 
     s_perm = build_s_perm(r1, r2, r3, r4, kr, m)
     t_perm = build_t_perm(r1, r2, r3, r4, kc, n)
-    apply_rows(data, s_perm, rowbuf)
-    apply_cols(data, t_perm, colbuf)
+    apply_rows(data, s_perm)
+    apply_cols(data, t_perm)
 
     rows_top = perm_block_diag([ident(r1), rows2]).compose(rows1)
     rows_bottom = perm_block_diag([ident(r3), rows4]).compose(rows3)

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pluq import DenseMatrix, OpCounts, Permutation, PluqFactors, PrimeField, pluq
-from pluq.matrix import apply_cols, apply_rows, perm_block_diag
+from pluq.matrix import _PANEL_ROWS, apply_cols, apply_rows, perm_block_diag
 from conftest import mat, random_matrix
 
 
@@ -151,38 +152,65 @@ def test_apply_on_sub_block_views():
 
 @st.composite
 def _sparse_permutations(draw, size):
-    """The identity, one transposition, or a permutation moving a few indices."""
+    """The identity, one transposition, a permutation moving a few indices, or
+    a rotation or a shuffle of one span [lo, hi)."""
     sigma = np.arange(size)
-    kind = draw(st.sampled_from(["identity", "transposition", "few"]))
+    kind = draw(st.sampled_from(["identity", "transposition", "few", "rotation", "span"]))
     if kind == "transposition" and size >= 2:
         i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
         sigma[[i, j]] = sigma[[j, i]]
     elif kind == "few" and size:
         moved = draw(st.lists(st.integers(0, size - 1), max_size=4, unique=True))
         sigma[moved] = draw(st.permutations(moved))
+    elif kind in ("rotation", "span") and size:
+        lo = draw(st.integers(0, size - 1))
+        hi = draw(st.integers(lo + 1, size))
+        if kind == "rotation":  # the base case's pivot move: [hi-1, lo, ..., hi-2]
+            sigma[lo:hi] = np.r_[hi - 1, lo : hi - 1]
+        else:
+            sigma[lo:hi] = draw(st.permutations(range(lo, hi)))
     return Permutation(sigma)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.integers(1, 3),
-       st.booleans(), st.booleans())
-def test_apply_on_strided_views_matches_gather(data, rows, cols, row_step, col_step, by_rows, with_buf):
+@given(st.data(), st.integers(1, 100), st.integers(1, 100), st.integers(1, 3), st.integers(1, 3),
+       st.booleans())
+def test_apply_on_strided_views_matches_gather(data, rows, cols, row_step, col_step, by_rows):
+    # up to 100 x 100, so a span of more than 32 lines across more than
+    # 32 * size / span others takes several gather chunks
     rng = np.random.default_rng(rows * 97 + cols)
     parent = random_matrix(rng, rows * row_step + 1, cols * col_step + 2, 1009).data
     before = parent.copy()
     view = parent[1 : 1 + rows * row_step : row_step, 2 : 2 + cols * col_step : col_step]
     old = view.copy()
     perm = data.draw(_sparse_permutations(rows if by_rows else cols))
-    buf = np.full(max(rows, cols) + 3, -1.0) if with_buf else None
     if by_rows:
-        apply_rows(view, perm, buf)
+        apply_rows(view, perm)
         expected = old[perm.sigma, :]  # Mat(sigma) @ A: row i is old row sigma(i)
     else:
-        apply_cols(view, perm, buf)
+        apply_cols(view, perm)
         expected = old[:, perm.sigma]  # A @ Mat(sigma)^T: column j is old column sigma(j)
     assert np.array_equal(view, expected)
     view[...] = old
     assert np.array_equal(parent, before)  # nothing outside the view moved
+
+
+@pytest.mark.parametrize("by_rows", [True, False])
+def test_apply_scratch_is_one_gather_panel(by_rows):
+    # a full-span permutation of a 512 x 512 block: every chunk's temporary is
+    # at most _PANEL_ROWS x 512 elements, plus the index arrays
+    size = 512
+    parent = np.zeros((size + 1, size + 1))
+    block = parent[1:, 1:]
+    block[...] = np.arange(size * size).reshape(size, size)
+    perm = Permutation(np.random.default_rng(3).permutation(size))
+    tracemalloc.start()
+    baseline = tracemalloc.get_traced_memory()[0]
+    (apply_rows if by_rows else apply_cols)(block, perm)
+    peak = tracemalloc.get_traced_memory()[1] - baseline
+    tracemalloc.stop()
+    index_bytes = 3 * size * 8
+    assert peak <= _PANEL_ROWS * size * 8 + index_bytes
 
 
 def test_permutation_serialization_roundtrip():

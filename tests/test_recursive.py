@@ -210,8 +210,10 @@ def test_workspace_scratch_is_bounded():
     ws = TrackingWorkspace()
     a = gen_rank_deficient_rect(64, 64, 32, 101, seed=9)
     pluq(a, threshold=8, workspace=ws)
-    # two line buffers plus at most one r3 x r2 scratch live at any time
+    # at most one r3 x r2 scratch live at any time; the allowance keeps the
+    # room of two O(m + n) line buffers, which the permutation gathers do not use
     assert ws.peak_elements <= ws.max_scratch_block + 2 * (64 + 64)
+    assert ws.peak_elements == ws.max_scratch_block
     assert ws.live_elements == 0
 
 
