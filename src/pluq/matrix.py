@@ -23,7 +23,8 @@ from .field import PrimeField
 _DECIMAL_CHARS = b"0123456789 \t\r\n"
 
 # Rows per multiply panel in ``kernels``; a permutation gather's temporary
-# holds at most this many lines' worth of elements too.
+# holds at most this many lines' worth of elements too, and the text writer
+# formats this many rows at a time.
 _PANEL_ROWS = 32
 
 
@@ -53,6 +54,45 @@ def _parse_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     if total and values.max() == np.iinfo(np.int64).max:  # where the parse saturates
         raise ValueError("an integer is outside the int64 range")
     return values, per_line
+
+
+# Each of 0..999 as its three ASCII digits and a space, little-endian in one
+# word: one lookup writes a base-1000 group and the byte after it.
+_DIGIT_GROUPS = np.array([int.from_bytes(b"%03d " % g, "little") for g in range(1000)], dtype="<u4")
+
+
+def _decimal_rows(values: np.ndarray, bound: int) -> str:
+    """The rows of a 2-D array of integers in [0, bound], bound < 2**32, as
+    ASCII decimal: a space after each entry, a line end instead after a row's
+    last.  Works on _PANEL_ROWS rows at a time.  Each entry is written as
+    base-1000 groups of four bytes (three digits and a space), and one mask
+    chosen by its digit count keeps its digits and its last space."""
+    m, n = values.shape
+    if not n:
+        return "\n" * m
+    digits = len(str(bound))
+    groups = -(-digits // 3)
+    # keep[d]: the bytes written for a d-digit entry, its last d digits (byte j
+    # holds digit j - j // 4 of 3 * groups, or a space where j % 4 == 3) and
+    # the space after its last group
+    j = np.arange(4 * groups)
+    keep = (j % 4 != 3) & (j - j // 4 >= 3 * groups - np.arange(digits + 1)[:, None])
+    keep[:, -1] = True
+    pieces = []
+    for r0 in range(0, m, _PANEL_ROWS):
+        vals = values[r0 : r0 + _PANEL_ROWS].astype(np.uint32)
+        ndigits = np.ones(vals.shape, dtype=np.uint8)
+        for k in range(1, digits):
+            ndigits += vals >= 10**k
+        words = np.empty(vals.shape + (groups,), dtype="<u4")
+        for g in range(groups - 1, 0, -1):
+            vals, low = np.divmod(vals, 1000)
+            words[..., g] = _DIGIT_GROUPS.take(low)
+        words[..., 0] = _DIGIT_GROUPS.take(vals)  # raises for an entry above the bound
+        text = words.view(np.uint8).reshape(vals.shape + (4 * groups,))
+        text[:, -1, -1] = ord("\n")
+        pieces.append(str(text[keep.take(ndigits, axis=0)], "ascii"))
+    return "".join(pieces)
 
 
 @dataclass
@@ -152,9 +192,7 @@ class DenseMatrix:
     # Line 1: "m n p"; then m lines of n residues in [0, p).
 
     def to_text(self) -> str:
-        lines = [f"{self.m} {self.n} {self.p}"]
-        lines += [" ".join(map(str, row)) for row in self.data.astype(np.int64).tolist()]
-        return "\n".join(lines) + "\n"
+        return f"{self.m} {self.n} {self.p}\n" + _decimal_rows(self.data, self.p - 1)
 
     @classmethod
     def from_text(cls, text: str) -> "DenseMatrix":
@@ -235,7 +273,7 @@ class Permutation:
         return DenseMatrix(field, mat)
 
     def serialize(self) -> str:
-        return " ".join(map(str, self.sigma.tolist()))
+        return _decimal_rows(self.sigma[None, :], self.size - 1)[:-1]
 
     @classmethod
     def deserialize(cls, text: str, size: int | None = None) -> "Permutation":

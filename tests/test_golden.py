@@ -4,8 +4,10 @@ Each case decomposes a seeded input and compares the sha256 of ``P``'s and
 ``Q``'s index maps and of the packed storage (as int64), plus
 ``OpCounts.as_dict()``, with values recorded from the implementation before
 permutation validation moved to the API boundary and ``mm_acc`` switched to a
-single reduction per output entry.  A speed-up that changes any output bit or
-any count fails here.
+single reduction per output entry.  It also compares the sha256 of the factor
+file text, ``f.to_text()``, recorded from the one-``str()``-per-entry writer
+before the vectorised text writer replaced it.  A speed-up that changes any
+output bit, any count or any byte of the file fails here.
 """
 
 import hashlib
@@ -57,6 +59,7 @@ def _outputs(p, m, n, rank, seed, route):
         "q": _sha(f.q_perm.sigma),
         "packed": _sha(f.packed.data),
         "counts": counts.as_dict(),
+        "text": hashlib.sha256(f.to_text().encode("ascii")).hexdigest(),
     }
 
 
@@ -67,6 +70,7 @@ GOLDEN = {
         "packed": "5396c09935df9db9c393efee72301ef2a67b9fd59a120b5067f162327bb80b36",
         "counts": {"field_mul": 1036812, "field_add": 1028096, "field_inv": 486,
                    "modular_reductions": 101414},
+        "text": "55b6803a7a85278f4b1b240559dd844ec7f7b304f4da9259819ab5034d1a3572",
     },
     "p1009-deficient-t30": {
         "p": "d838a3a76f509f3791b1b464a43d4d659808fb5ed89a80d949abf9b13ca386bf",
@@ -74,6 +78,7 @@ GOLDEN = {
         "packed": "9e8363915826947c87c3f6d663ac89464387441262905bef34ff9cd7dc428464",
         "counts": {"field_mul": 1026651, "field_add": 1017933, "field_inv": 271,
                    "modular_reductions": 96386},
+        "text": "6db814c3cf53ec59bb8c22090af6f5e28365f6cafdc37271f70dd4032c5073d6",
     },
     "p1009-deficient-iterative": {
         "p": "e7acd3fba0bd19d49c519d43ea03d9995a69842ba52513f1ebe57e9c32442dfe",
@@ -81,6 +86,7 @@ GOLDEN = {
         "packed": "f29e6fc763c6adb1a421ba657fdb6b23069089dd77a54c65ff4e4c774b9d60b7",
         "counts": {"field_mul": 682747, "field_add": 673922, "field_inv": 96,
                    "modular_reductions": 682747},
+        "text": "a3bfe69593784f0ccc91d542fc60b048c02b65932c45063647d160e1f5dc4fe1",
     },
     "p2^26-full-t30": {
         "p": "89090ae845e656cc2d78a9cbe95651f5c3d56ce897951e3bc635647dbe769dd6",
@@ -88,6 +94,7 @@ GOLDEN = {
         "packed": "6b05364feaf95304984a13c597d0880fefea06e21eea995f5a86b8878f41fd5d",
         "counts": {"field_mul": 229934, "field_add": 226154, "field_inv": 179,
                    "modular_reductions": 35132},
+        "text": "d8c758b2b1307cc40cae353daced68de9f6a373cdbeacebe17ff182e181218d8",
     },
     "p2^31-large-t8": {
         "p": "b500425da4628420f59955948eaa4dba716162634b51fbe5e544ea4c8db25894",
@@ -95,6 +102,7 @@ GOLDEN = {
         "packed": "7b1741810dcf4405325083e8d9ffbacc18309f0fb5cc3897483c013946e950af",
         "counts": {"field_mul": 33815, "field_add": 32762, "field_inv": 105,
                    "modular_reductions": 8549},
+        "text": "9685214e1911df8297514ad6ab45467b9f47a7dc95202f032330dfecc540b35f",
     },
 }
 

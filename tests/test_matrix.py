@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pluq import DenseMatrix, OpCounts, Permutation, PluqFactors, PrimeField, pluq
 from pluq.matrix import _PANEL_ROWS, apply_cols, apply_rows, perm_block_diag
 from conftest import mat, random_matrix
+from test_moduli import PRIMES
 
 
 # int() would read these as 10, 5, 3 and 1
@@ -240,13 +241,55 @@ def test_leading_submatrix():
         a.leading_submatrix(3, 1)
 
 
+def _str_rows(rows):
+    """The reference writer: one ``str()`` per entry."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _layouts(data):
+    """``data`` stored in C order, in Fortran order and as a strided view."""
+    m, n = data.shape
+    strided = np.zeros((2 * m + 1, 3 * n + 1))[1::2, 1::3]
+    strided[...] = data
+    return [np.ascontiguousarray(data), np.asfortranarray(data), strided]
+
+
 def test_text_roundtrip():
     rng = np.random.default_rng(5)
-    for m, n in [(3, 4), (1, 1), (0, 3), (3, 0), (0, 0)]:
-        a = random_matrix(rng, m, n, 101)
-        assert DenseMatrix.from_text(a.to_text()) == a
+    shapes = [(3, 4), (1, 1), (0, 3), (3, 0), (0, 0), (2 * _PANEL_ROWS + 5, 9)]
+    for p in PRIMES:
+        field = PrimeField(p)
+        # every digit-count edge below p, and the extremes
+        edges = [0, p - 1] + [v for k in range(1, 10) for v in (10**k - 1, 10**k) if v < p]
+        for m, n in shapes:
+            data = rng.integers(0, p, (m, n)).astype(float)
+            at_edge = rng.random((m, n)) < 0.5
+            data[at_edge] = rng.choice(edges, int(at_edge.sum()))
+            data.flat[: len(edges)] = edges[: data.size]
+            for stored in _layouts(data):
+                a = DenseMatrix(field, stored)
+                text = a.to_text()
+                assert text == f"{m} {n} {p}\n" + _str_rows(stored.astype(np.int64).tolist())
+                assert DenseMatrix.from_text(text) == a
+    for s in (0, 1, 2, 1003):  # 1003 crosses a base-1000 digit group
+        sigma = Permutation(rng.permutation(s))
+        assert sigma.serialize() == _str_rows([sigma.sigma.tolist()])[:-1]
+        assert Permutation.deserialize(sigma.serialize(), size=s) == sigma
     assert mat([[1, 0, 100], [7, 3, 2]], 101).to_text() == "2 3 101\n1 0 100\n7 3 2\n"
     assert mat([[67108858, 0]], 67108859).to_text() == "1 2 67108859\n67108858 0\n"
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_text_write_peak_is_bounded_by_output(p):
+    # the writer holds its output, the pieces it joins and the temporaries of
+    # one panel of _PANEL_ROWS rows, whatever the number of rows
+    a = DenseMatrix(PrimeField(p), np.random.default_rng(7).integers(0, p, (512, 512)))
+    tracemalloc.start()
+    baseline = tracemalloc.get_traced_memory()[0]
+    text = a.to_text()
+    peak = tracemalloc.get_traced_memory()[1] - baseline
+    tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_text_rejects_bad_input():
