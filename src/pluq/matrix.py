@@ -197,8 +197,8 @@ class DenseMatrix:
     @classmethod
     def from_text(cls, text: str) -> "DenseMatrix":
         _check_decimal_text(text)
-        lines = text.splitlines()
-        if not lines or not lines[0].strip():
+        lines = text.split("\n")
+        if not lines[0].strip():
             raise ValueError("empty matrix file")
         header = lines[0].split()
         if len(header) != 3:
@@ -266,7 +266,7 @@ class Permutation:
         return Permutation._unchecked(_inverse_map(self.sigma))
 
     def to_matrix(self, field: PrimeField) -> DenseMatrix:
-        """Explicit 0/1 matrix; test and oracle use only."""
+        """Explicit 0/1 matrix Mat(sigma); tests only, no package code calls it."""
         s = self.size
         mat = np.zeros((s, s), dtype=field.dtype)
         mat[np.arange(s), self.sigma] = 1

@@ -29,8 +29,8 @@ from .matrix import (
     PluqFactors,
     apply_cols,
     apply_rows,
-    perm_block_diag,
 )
+from .matrix import perm_block_diag  # noqa: F401  (perfbench's tracer wraps it in this namespace)
 
 DEFAULT_THRESHOLD = 30
 
@@ -140,7 +140,6 @@ def _pluq_rec(data, ctx):
     counts, kernels = ctx.counts, ctx.kernels
 
     kr, kc = m // 2, n // 2
-    ident = Permutation.identity
 
     rows1, cols1, r1 = _pluq_rec(data[:kr, :kc], ctx)
 
@@ -190,12 +189,10 @@ def _pluq_rec(data, ctx):
     apply_rows(data, s_perm)
     apply_cols(data, t_perm)
 
-    rows_top = perm_block_diag([ident(r1), rows2]).compose(rows1)
-    rows_bottom = perm_block_diag([ident(r3), rows4]).compose(rows3)
-    rows = s_perm.compose(perm_block_diag([rows_top, rows_bottom]))
-
-    cols_left = perm_block_diag([ident(r1), cols3]).compose(cols1)
-    cols_right = perm_block_diag([ident(r2), cols4]).compose(cols2)
-    cols = t_perm.compose(perm_block_diag([cols_left, cols_right]))
-
-    return rows, cols, r1 + r2 + r3 + r4
+    # Per half: the first child's pivot lines, then its other lines in its second child's order.
+    # Fresh arrays, not rewritten children: perfbench's tracer reads every applied order after the run.
+    rows = np.concatenate((rows1.sigma[:r1], rows1.sigma[r1:][rows2.sigma],
+                           kr + rows3.sigma[:r3], kr + rows3.sigma[r3:][rows4.sigma]))[s_perm.sigma]
+    cols = np.concatenate((cols1.sigma[:r1], cols1.sigma[r1:][cols3.sigma],
+                           kc + cols2.sigma[:r2], kc + cols2.sigma[r2:][cols4.sigma]))[t_perm.sigma]
+    return Permutation._unchecked(rows), Permutation._unchecked(cols), r1 + r2 + r3 + r4

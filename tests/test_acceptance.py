@@ -156,7 +156,7 @@ def test_criterion_03_leu_conversion():
 
 def test_criterion_04_pluq_reduction_count():
     deltas = {}
-    for m in (4, 8, 16, 32, 64, 128):
+    for m in (2, 4, 8, 16, 32, 64, 128):
         counts = OpCounts()
         pluq(gen_full_rank_generic(m, P, seed=m), threshold=1, counts=counts)
         deltas[m] = counts.modular_reductions - r_pluq_closed_form(m)

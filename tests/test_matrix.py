@@ -271,6 +271,7 @@ def test_text_roundtrip():
                 text = a.to_text()
                 assert text == f"{m} {n} {p}\n" + _str_rows(stored.astype(np.int64).tolist())
                 assert DenseMatrix.from_text(text) == a
+                assert DenseMatrix.from_text(text.replace("\n", "\r\n")) == a
     for s in (0, 1, 2, 1003):  # 1003 crosses a base-1000 digit group
         sigma = Permutation(rng.permutation(s))
         assert sigma.serialize() == _str_rows([sigma.sigma.tolist()])[:-1]
@@ -311,6 +312,8 @@ def test_text_rejects_bad_input():
         DenseMatrix.from_text(f"1 2 5\n{-2**63 - 1} 0\n")
     with pytest.raises(ValueError):
         DenseMatrix.from_text("1 2 5\n0 1.5\n")
+    with pytest.raises(ValueError):
+        DenseMatrix.from_text("1 2 5\r0 1\r")  # a lone CR ends no line
     # int() takes these; the format is ASCII decimal only
     for token in NON_DECIMAL_TOKENS:
         with pytest.raises(ValueError):

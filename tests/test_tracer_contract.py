@@ -11,8 +11,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from pluq import gen_rank_deficient_rect, pluq
+from pluq import DEFAULT_THRESHOLD, gen_rank_deficient_rect, pluq, recursive
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402  (perfbench is not a package)
@@ -34,3 +35,19 @@ def test_traced_run_matches_untraced_and_records_spans():
     assert "matrix.apply" in tracer.names
     assert "iterative.base" in tracer.names and "kernels.mm_acc" in tracer.names
     assert "kernels.trsm" in tracer.names
+
+
+@pytest.mark.parametrize("threshold", [1, DEFAULT_THRESHOLD])
+def test_applied_orders_are_not_rewritten(monkeypatch, threshold):
+    # The tracer keeps every order passed to apply_rows/apply_cols and counts
+    # the lines each one moved after the run, so a node that composes its
+    # orders by writing into a child's order would skew matrix.lines_moved.
+    kept = []
+    for name in ("apply_rows", "apply_cols"):
+        def keeping(a, perm, apply=getattr(recursive, name)):
+            kept.append((perm.sigma, perm.sigma.copy()))
+            apply(a, perm)
+        monkeypatch.setattr(recursive, name, keeping)
+    pluq(gen_rank_deficient_rect(128, 128, 64, 1009, seed=3), threshold=threshold)
+    assert kept
+    assert all(np.array_equal(order, copy) for order, copy in kept)
