@@ -4,7 +4,9 @@ A ``PrimeField`` fixes the modulus.  Every field stores canonical residues in
 ``[0, p)`` as float64, so the dense kernels run on BLAS whatever the modulus,
 and ``matmul_mod`` is the one place that keeps products exact: it reduces a
 dot product once at the end while the sum provably fits the 53-bit mantissa,
-and beyond that splits one factor into limbs whose products do fit.
+and beyond that splits one factor into limbs whose products do fit.  Every
+``mod p`` of the kernels is ``reduce_mod``, the floor with a precomputed 1/p
+of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 _MODULUS_BOUND = 1 << 31
 
 _F64_EXACT = 1 << 53
+
+_REDUCE_MIN = 768  # below this size one np.mod beats reduce_mod's passes (measured)
 
 
 def is_prime(p: int) -> bool:
@@ -57,7 +61,7 @@ class PrimeField:
     2**26 and 0 above about 2**26.5.
     """
 
-    __slots__ = ("p", "max_accumulate")
+    __slots__ = ("p", "max_accumulate", "_inv_p")
 
     dtype = np.float64
 
@@ -71,6 +75,7 @@ class PrimeField:
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
         self.p = p
         self.max_accumulate = (_F64_EXACT - (p - 1)) // (p - 1) ** 2
+        self._inv_p = 1.0 / p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -95,6 +100,27 @@ class PrimeField:
             arr = arr.astype(self.dtype)
         return arr
 
+    def reduce_mod(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x mod p into ``out`` (x when None), using x as scratch.
+
+        Exact for float64 integers -(2**53 - p) < x < 2**53, every value the
+        kernels form: q = floor(x * (1/p)) is off by at most one, so x - q p
+        needs +p where negative and -p where >= p.  Below that range it can
+        be off (by one at x = -(2**53 - 1) for p >= 1009).
+        """
+        out = x if out is None else out
+        if x.size < _REDUCE_MIN:
+            return np.mod(x, self.p, out=out)
+        q = np.multiply(x, self._inv_p)
+        np.floor(q, out=q)
+        q *= self.p
+        x -= q
+        mask = np.less(x, 0)
+        np.add(x, self.p, out=x, where=mask)
+        np.subtract(x, self.p, out=x, where=np.greater_equal(x, self.p, out=mask))
+        np.copyto(out, x)  # a no-op when out is x
+        return out
+
     def matmul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact (a @ b) % p.
 
@@ -103,11 +129,11 @@ class PrimeField:
         acc * 2**bits + limb @ b is exact for any acc < p, and the limb
         products are recombined by Horner's rule, reducing after each limb.
         The inner dimension is split only where even one-bit limbs could
-        round, (k+1) p > 2**52.
+        round, (k+1) p > 2**52.  Each reduction takes values in [0, 2**53).
         """
         p, k = self.p, a.shape[-1]
         if k <= self.max_accumulate:
-            return (a @ b) % p
+            return self.reduce_mod(a @ b)
         step = min(k, (_F64_EXACT >> 1) // p - 1)
         bits = (_F64_EXACT // ((step + 1) * p)).bit_length() - 1
         out = None
@@ -115,6 +141,6 @@ class PrimeField:
             a_int, acc = a[:, lo : lo + step].astype(np.int64), 0.0
             for shift in reversed(range(0, (p - 1).bit_length(), bits)):
                 limb = ((a_int >> shift) & ((1 << bits) - 1)).astype(np.float64)
-                acc = np.mod(acc * float(1 << bits) + limb @ b[lo : lo + step], p)
-            out = acc if out is None else np.mod(out + acc, p)
+                acc = self.reduce_mod(acc * float(1 << bits) + limb @ b[lo : lo + step])
+            out = acc if out is None else self.reduce_mod(out + acc)
         return out

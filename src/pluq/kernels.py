@@ -3,7 +3,8 @@
 All three are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
 place), and the two solves share one recursive solver, ``_solve_lower``
 (B <- L^-1 B, halving down to single rows).  B U^-1 is solved as
-(U^-T B^T)^T on transposed views.
+(U^-T B^T)^T on transposed views.  The block update reduces its contiguous
+product panel with ``PrimeField.reduce_mod`` and writes C once per panel.
 
 Each kernel charges the OpCounts it is handed at its public entry point,
 whatever reductions the update and the halving perform internally.  Field
@@ -62,13 +63,12 @@ class ClassicalKernels:
 
     def _sub_mul(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         """C <- (C - A @ B) mod p in place, one row panel at a time; charges nothing."""
-        p = self.field.p
         fused = a.shape[1] <= self.field.max_accumulate  # C - A @ B is exact
         for lo in range(0, c.shape[0], _PANEL_ROWS):
             hi = lo + _PANEL_ROWS
             panel = a[lo:hi] @ b if fused else self.field.matmul_mod(a[lo:hi], b)
             np.subtract(c[lo:hi], panel, out=panel)
-            np.mod(panel, p, out=c[lo:hi])
+            self.field.reduce_mod(panel, out=c[lo:hi])
 
     # -- triangular solves ----------------------------------------------------
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pluq import ClassicalKernels, OpCounts, PrimeField, inverse_mod, is_prime
+from pluq.field import _REDUCE_MIN
+from test_moduli import PRIMES as MODULI_PRIMES
 
 PRIMES = [2, 3, 5, 7, 101, 1009]
 
@@ -189,6 +191,43 @@ def test_matmul_mod_chunked_matches_bignum():
     b = rng.integers(f.p - 1000, f.p, size=(k, 3), dtype=np.int64)
     expected = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % f.p for j in range(3)] for i in range(2)]
     assert f.matmul_mod(f.asarray(a), f.asarray(b)).tolist() == expected
+
+
+# For every prime of MODULI_PRIMES, floor(x * (1/p)) never falls short of
+# floor(x / p) on the values below; at 2**31 - 19 it falls short by one on
+# multiples of p just below 2**53, which only the ">= p" correction repairs.
+REDUCE_PRIMES = MODULI_PRIMES + [2**31 - 19]
+
+
+def _range_end(p, top):
+    """The 4096 lowest (or highest) values of reduce_mod's range
+    -(2**53 - p) < x < 2**53, after the 2048 multiples of p nearest that end
+    and their neighbours, where the floor can miss by one."""
+    low, high = -(2**53 - (p - 1)), 2**53 - 1
+    if top:
+        near = np.arange(high // p - 2047, high // p + 1) * p
+        run = np.arange(high - 4095, high + 1)
+    else:
+        near = np.arange(-(-low // p), -(-low // p) + 2048) * p
+        run = np.arange(low, low + 4096)
+    near = (near[:, None] + np.array([-1, 0, 1])).ravel()
+    return np.concatenate([near[(near >= low) & (near <= high)], run])
+
+
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_reduce_mod_exact_at_both_ends_of_its_range(p):
+    field = PrimeField(p)
+    for top in (False, True):
+        values = _range_end(p, top)
+        # np.mod below the size cutoff, the corrected floor from it on
+        for size in (0, 1, _REDUCE_MIN - 1, _REDUCE_MIN, values.size):
+            want = values[:size] % p
+            x = values[:size].astype(np.float64)
+            host = np.full(3 * size, -1.0)
+            field.reduce_mod(x.copy(), out=host[1::3])
+            assert np.array_equal(host[1::3].astype(np.int64), want), (top, size)
+            assert np.all(host[0::3] == -1.0) and np.all(host[2::3] == -1.0)
+            assert np.array_equal(field.reduce_mod(x).astype(np.int64), want), (top, size)
 
 
 def test_asarray_rejects_noncanonical(f5):

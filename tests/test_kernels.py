@@ -5,6 +5,7 @@ import pytest
 
 from pluq import ClassicalKernels, DenseMatrix, OpCounts, PrimeField, pluq
 from conftest import mat, random_matrix
+from test_moduli import PRIMES
 
 
 def naive_mm_acc(c, a, b, p):
@@ -173,6 +174,55 @@ def test_trsm_remultiplication_restores(p):
         lower = np.tril(lu, -1) + np.eye(r, dtype=field.dtype)
         assert np.array_equal(field.matmul_mod(lower, left), orig_left)
         assert np.array_equal(field.matmul_mod(right, np.triu(lu)), orig_right)
+
+
+def _views(rng, p, m, n):
+    """An m x n slice of a larger matrix and an m x n transposed view of
+    another, as the recursion passes C and the right solve passes B^T, each
+    with its host."""
+    host = rng.integers(0, p, (m + 9, n + 7)).astype(np.float64)
+    host_t = rng.integers(0, p, (n + 5, m + 3)).astype(np.float64)
+    return [(host[4 : 4 + m, 2 : 2 + n], host), (host_t[1 : 1 + n, 3 : 3 + m].T, host_t)]
+
+
+def _ints(arr):
+    """Exact Python integers, whose products cannot round or overflow."""
+    return arr.astype(np.int64).astype(object)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_block_update_into_strided_and_transposed_views(p):
+    # _sub_mul reduces C - A B on a contiguous panel and writes it into C once;
+    # C is a slice of a larger matrix in mm_acc and a transposed view in the
+    # right solve.  Where the field's bound exceeds 35 it is lowered to 35 (any
+    # lower bound is still exact), so that k = bound takes the fused product
+    # and k = bound + 1 the limb-split one, with 32 x 40 panels above the
+    # reduction's np.mod cutoff and a 6 x 40 panel below it.
+    rng = np.random.default_rng(p)
+    field = PrimeField(p)
+    field.max_accumulate = bound = min(field.max_accumulate, 35)
+    kern = ClassicalKernels(field)
+    m, n = 70, 40
+    for k in sorted({max(bound, 1), bound + 1}):
+        a = rng.integers(0, p, (m, k)).astype(field.dtype)
+        b = rng.integers(0, p, (k, n)).astype(field.dtype)
+        for c, host in _views(rng, p, m, n):
+            before, cells = host.copy(), c.copy()
+            kern.mm_acc(c, a, b, OpCounts())
+            want = (_ints(cells) - _ints(a) @ _ints(b)) % p
+            assert np.array_equal(_ints(c), want), k
+            c[:] = cells
+            assert np.array_equal(host, before), k  # nothing outside C moved
+        # B U^-1 with r = 2k: the top-level update of the solve has inner dimension k
+        r = 2 * k
+        u = np.triu(rng.integers(0, p, (r, r))).astype(field.dtype)
+        u[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
+        for bm, host in _views(rng, p, n, r):
+            before, cells = host.copy(), bm.copy()
+            kern.trsm_right_upper(bm, u, OpCounts())
+            assert np.array_equal((_ints(bm) @ _ints(u)) % p, _ints(cells)), k
+            bm[:] = cells
+            assert np.array_equal(host, before), k
 
 
 class RecordingKernels(ClassicalKernels):
