@@ -39,17 +39,11 @@ def is_prime(p: int) -> bool:
 
 
 def inverse_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p via the extended Euclid algorithm."""
+    """Multiplicative inverse of a mod p (Python's built-in modular power)."""
     a %= p
     if a == 0:
         raise ZeroDivisionError("inverse of 0 requested; upstream pivot logic is broken")
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % p
+    return pow(a, -1, p)
 
 
 class PrimeField:

@@ -2,15 +2,17 @@
 
 All three are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
 place), and the two solves share one recursive solver, ``_solve_lower``
-(B <- L^-1 B, halving down to single rows).  B U^-1 is solved as
-(U^-T B^T)^T on transposed views.  The block update reduces its contiguous
-product panel with ``PrimeField.reduce_mod`` and writes C once per panel.
+(B <- L^-1 B, halving down to leaves of at most 32 rows, each solved with its
+inverse and one product).  B U^-1 is solved as (U^-T B^T)^T on transposed
+views.  The block update reduces its contiguous product panel with
+``PrimeField.reduce_mod`` and writes C once per panel.
 
 Each kernel charges the OpCounts it is handed at its public entry point,
-whatever reductions the update and the halving perform internally.  Field
-operations are charged in the paper's unit: one multiply-accumulate is one
-``field_mul`` plus one ``field_add``, a scaling by an inverted diagonal entry
-is one ``field_mul``, and each pivot inversion is one ``field_inv``;
+whatever reductions the update, the halving and the leaves perform
+internally.  Field operations are charged in the paper's unit: one
+multiply-accumulate is one ``field_mul`` plus one ``field_add``, a scaling by
+an inverted diagonal entry is one ``field_mul``, and each pivot inversion is
+one ``field_inv``;
 ``OpCounts.total_field_ops()`` is the paper's "field operations".  Modular
 reductions follow the delayed-reduction model:
 
@@ -29,7 +31,9 @@ reductions follow the delayed-reduction model:
 The kernels are bundled in a strategy object so a sub-cubic multiplication
 could be slotted in behind the same interface; the classical kernels are the
 only shipped implementation.  Internal scratch stays bounded by a fixed row
-panel (the decomposition itself allocates nothing through these calls).
+panel: 32 rows of a product, or a solver leaf's inverse (at most 32 x 32) and
+its 32-row product (the decomposition itself allocates nothing through these
+calls).
 """
 
 from __future__ import annotations
@@ -103,19 +107,44 @@ class ClassicalKernels:
         counts.field_mul += m * (r * (r + 1) // 2)
         counts.field_add += m * (r * (r - 1) // 2)
         p = self.field.p
-        inv_diag = np.array([inverse_mod(int(d), p) for d in diag], dtype=b.dtype)
+        inv_diag = np.array([inverse_mod(int(d), p) for d in diag.tolist()], dtype=b.dtype)
         self._solve_lower(u.T, b.T, inv_diag)  # B U^-1 = (U^-T B^T)^T
 
     def _solve_lower(self, l: np.ndarray, b: np.ndarray, inv_diag: np.ndarray | None) -> None:
         """B <- L^-1 B in place, L lower triangular with inverted diagonal
-        ``inv_diag``, or unit diagonal when it is None; charges nothing."""
+        ``inv_diag``, or unit diagonal when it is None; charges nothing.
+
+        Halves until at most _PANEL_ROWS rows are left; such a leaf forms
+        L^-1 (r x r) and applies it with one product (r x n), so its scratch
+        stays inside the kernels' panel bound.
+        """
         r = l.shape[0]
         if r == 1:
             if inv_diag is not None:
                 b[:] = self.field.matmul_mod(inv_diag[:, None], b)
+            return
+        if r <= _PANEL_ROWS:
+            b[:] = self.field.matmul_mod(self._lower_inverse(l, inv_diag), b)
             return
         h = r // 2
         top, bottom = (None, None) if inv_diag is None else (inv_diag[:h], inv_diag[h:])
         self._solve_lower(l[:h, :h], b[:h], top)
         self._sub_mul(b[h:], l[h:, :h], b[:h])
         self._solve_lower(l[h:, h:], b[h:], bottom)
+
+    def _lower_inverse(self, l: np.ndarray, inv_diag: np.ndarray | None) -> np.ndarray:
+        """L^-1 mod p for lower triangular L, diagonal as in ``_solve_lower``.
+
+        L = D (I + N) with N strictly lower, so N^r = 0 and
+        (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... up to the power 2^j < r;
+        then L^-1 = (I + N)^-1 D^-1.
+        """
+        field, r = self.field, l.shape[0]
+        eye, n = np.eye(r), np.tril(l, -1)
+        if inv_diag is not None:
+            n = field.matmul_mod(np.diag(inv_diag), n)
+        inv = field.reduce_mod(eye - n)
+        for _ in range((r - 1).bit_length() - 1):
+            n = field.matmul_mod(n, n)
+            inv = field.matmul_mod(inv, eye + n)
+        return inv if inv_diag is None else field.matmul_mod(inv, np.diag(inv_diag))

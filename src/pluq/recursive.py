@@ -148,9 +148,8 @@ def _pluq_rec(data, ctx):
 
     kernels.trsm_left_unit_lower(data[:r1, :r1], data[:r1, kc:], counts)   # D
     kernels.trsm_right_upper(data[kr:, :r1], data[:r1, :r1], counts)      # E
-    kernels.mm_acc(data[r1:kr, kc:], data[r1:kr, :r1], data[:r1, kc:], counts)  # F
+    kernels.mm_acc(data[r1:, kc:], data[r1:, :r1], data[:r1, kc:], counts)     # F and H
     kernels.mm_acc(data[kr:, r1:kc], data[kr:, :r1], data[:r1, r1:kc], counts)  # G
-    kernels.mm_acc(data[kr:, kc:], data[kr:, :r1], data[:r1, kc:], counts)      # H
 
     rows2, cols2, r2 = _pluq_rec(data[r1:kr, kc:], ctx)
     rows3, cols3, r3 = _pluq_rec(data[kr:, r1:kc], ctx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pluq import ClassicalKernels, DenseMatrix, OpCounts, PrimeField, pluq
+from pluq.matrix import _PANEL_ROWS
 from conftest import mat, random_matrix
 from test_moduli import PRIMES
 
@@ -191,7 +192,7 @@ def _ints(arr):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_block_update_into_strided_and_transposed_views(p):
+def test_block_update_into_strided_and_transposed_views(p, monkeypatch):
     # _sub_mul reduces C - A B on a contiguous panel and writes it into C once;
     # C is a slice of a larger matrix in mm_acc and a transposed view in the
     # right solve.  Where the field's bound exceeds 35 it is lowered to 35 (any
@@ -202,6 +203,10 @@ def test_block_update_into_strided_and_transposed_views(p):
     field = PrimeField(p)
     field.max_accumulate = bound = min(field.max_accumulate, 35)
     kern = ClassicalKernels(field)
+    updates = []  # the inner dimension of every block update
+    sub_mul = ClassicalKernels._sub_mul
+    monkeypatch.setattr(ClassicalKernels, "_sub_mul",
+                        lambda self, c, a, b: updates.append(a.shape[1]) or sub_mul(self, c, a, b))
     m, n = 70, 40
     for k in sorted({max(bound, 1), bound + 1}):
         a = rng.integers(0, p, (m, k)).astype(field.dtype)
@@ -213,16 +218,75 @@ def test_block_update_into_strided_and_transposed_views(p):
             assert np.array_equal(_ints(c), want), k
             c[:] = cells
             assert np.array_equal(host, before), k  # nothing outside C moved
-        # B U^-1 with r = 2k: the top-level update of the solve has inner dimension k
-        r = 2 * k
+        # B U^-1 with r = 2 max(k, 17): the solve halves r once or twice before
+        # its 32-row leaves, and its top-level update has inner dimension r / 2,
+        # fused at k = bound >= 17 and limb-split at k = bound + 1.  At the two
+        # primes whose bound is below 17, every update of a solve is limb-split.
+        r = 2 * max(k, _PANEL_ROWS // 2 + 1)
         u = np.triu(rng.integers(0, p, (r, r))).astype(field.dtype)
         u[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
         for bm, host in _views(rng, p, n, r):
             before, cells = host.copy(), bm.copy()
+            updates.clear()
             kern.trsm_right_upper(bm, u, OpCounts())
+            assert max(updates) == r // 2, k
             assert np.array_equal((_ints(bm) @ _ints(u)) % p, _ints(cells)), k
             bm[:] = cells
             assert np.array_equal(host, before), k
+
+
+def _forward_substitution(l, b, p, unit):
+    """L^-1 B mod p row by row in Python integers; L's upper triangle, and its
+    diagonal when ``unit``, are ignored."""
+    l, x = _ints(l), _ints(b)
+    for i in range(l.shape[0]):
+        x[i] = (x[i] - l[i, :i] @ x[:i]) * (1 if unit else pow(int(l[i, i]), -1, p)) % p
+    return x
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_solves_across_the_leaf_boundary(p):
+    # The solver halves until at most 32 rows are left and inverts each such
+    # leaf whole: sizes on both sides of one and two halvings, for B as a
+    # slice of a larger matrix and as a transposed view.  L and U share one
+    # packed block, so each solve must ignore the other triangle.
+    rng = np.random.default_rng(p + 14)
+    field = PrimeField(p)
+    kern = ClassicalKernels(field)
+    for r in (1, 2, 3, 31, 32, 33, 63, 64, 65, 100):
+        lu = rng.integers(0, p, (r, r)).astype(field.dtype)
+        lu[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
+        for n in (0, 1, 40):
+            for b, host in _views(rng, p, r, n):
+                before, cells = host.copy(), b.copy()
+                kern.trsm_left_unit_lower(lu, b, OpCounts())
+                assert np.array_equal(_ints(b), _forward_substitution(lu, cells, p, True)), (r, n)
+                b[:] = cells
+                assert np.array_equal(host, before), (r, n)  # nothing outside B moved
+            for b, host in _views(rng, p, n, r):
+                before, cells = host.copy(), b.copy()
+                kern.trsm_right_upper(b, lu, OpCounts())  # B U^-1 = (U^-T B^T)^T
+                want = _forward_substitution(lu.T, cells.T, p, False).T
+                assert np.array_equal(_ints(b), want), (r, n)
+                b[:] = cells
+                assert np.array_equal(host, before), (r, n)
+
+
+def test_solver_call_count_with_32_row_leaves(monkeypatch):
+    # r = 512 halves four times into 16 leaves of 32 rows: 31 solver calls
+    # for each solve, where halving down to single rows would make 1023.
+    calls = []
+    solve = ClassicalKernels._solve_lower
+    monkeypatch.setattr(ClassicalKernels, "_solve_lower",
+                        lambda self, l, b, d: calls.append(l.shape[0]) or solve(self, l, b, d))
+    field, r = PrimeField(1009), 512
+    kern = ClassicalKernels(field)
+    u = np.triu(np.ones((r, r), field.dtype))
+    kern.trsm_left_unit_lower(u.T.copy(), np.ones((r, 3), field.dtype), OpCounts())
+    assert len(calls) == 31 and calls.count(32) == 16
+    calls.clear()
+    kern.trsm_right_upper(np.ones((3, r), field.dtype), u, OpCounts())
+    assert len(calls) == 31 and calls.count(32) == 16
 
 
 class RecordingKernels(ClassicalKernels):
