@@ -124,6 +124,7 @@ class PrimeField:
         products are recombined by Horner's rule, reducing after each limb.
         The inner dimension is split only where even one-bit limbs could
         round, (k+1) p > 2**52.  Each reduction takes values in [0, 2**53).
+        Leading axes are batch axes, as in ``@``.
         """
         p, k = self.p, a.shape[-1]
         if k <= self.max_accumulate:
@@ -132,9 +133,15 @@ class PrimeField:
         bits = (_F64_EXACT // ((step + 1) * p)).bit_length() - 1
         out = None
         for lo in range(0, k, step):
-            a_int, acc = a[:, lo : lo + step].astype(np.int64), 0.0
+            a_int, acc = a[..., lo : lo + step].astype(np.int64), 0.0
             for shift in reversed(range(0, (p - 1).bit_length(), bits)):
                 limb = ((a_int >> shift) & ((1 << bits) - 1)).astype(np.float64)
-                acc = self.reduce_mod(acc * float(1 << bits) + limb @ b[lo : lo + step])
+                acc = self.reduce_mod(acc * float(1 << bits) + limb @ b[..., lo : lo + step, :])
             out = acc if out is None else self.reduce_mod(out + acc)
         return out
+
+    def mul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact broadcast (a * b) % p: one product while (p-1)^2 fits, else 1 x 1 ``matmul_mod``s."""
+        if self.max_accumulate:
+            return self.reduce_mod(a * b)
+        return self.matmul_mod(a[..., None, None], b[..., None, None])[..., 0, 0]

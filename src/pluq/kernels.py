@@ -2,13 +2,15 @@
 
 All three are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
 place), and the two solves share one recursive solver, ``_solve_lower``
-(B <- L^-1 B, halving down to leaves of at most 32 rows, each solved with its
-inverse and one product).  B U^-1 is solved as (U^-T B^T)^T on transposed
-views.  The block update reduces its contiguous product panel with
-``PrimeField.reduce_mod`` and writes C once per panel.
+(B <- L^-1 B, split at multiples of 32 rows into leaves of at most 32, each
+applied with one product).  ``leaf_inverses`` inverts every leaf of a node's
+triangles in one stacked pass, and every solve with one of those factors takes
+its stack (a solve given none forms its own).  B U^-1 is (U^-T B^T)^T on
+transposed views.  The block update reduces its contiguous product panel
+with ``PrimeField.reduce_mod`` and writes C once per panel.
 
 Each kernel charges the OpCounts it is handed at its public entry point,
-whatever reductions the update, the halving and the leaves perform
+whatever reductions the update, the splitting and the leaves perform
 internally.  Field operations are charged in the paper's unit: one
 multiply-accumulate is one ``field_mul`` plus one ``field_add``, a scaling by
 an inverted diagonal entry is one ``field_mul``, and each pivot inversion is
@@ -25,15 +27,17 @@ reductions follow the delayed-reduction model:
   partial products first.
 * ``trsm_left_unit_lower`` (B <- L^-1 B, unit diagonal): r*n reductions, one
   per updated row entry.
-* ``trsm_right_upper`` (B <- B U^-1): 2*m*r reductions; the diagonal is
-  inverted once and every entry pays one extra reduction for the scaling.
+* ``trsm_right_upper`` (B <- B U^-1): 2*m*r reductions (one extra per entry
+  for the scaling) and r ``field_inv``, per solve even where solves share a
+  stack.
 
 The kernels are bundled in a strategy object so a sub-cubic multiplication
 could be slotted in behind the same interface; the classical kernels are the
 only shipped implementation.  Internal scratch stays bounded by a fixed row
-panel: 32 rows of a product, or a solver leaf's inverse (at most 32 x 32) and
-its 32-row product (the decomposition itself allocates nothing through these
-calls).
+panel: 32 rows of a product, a leaf's 32-row product, or a triangle's leaf
+stack of about 32 * r elements, one 32-row panel of the r x r triangle, and a
+few temporaries of that size while it is formed (the decomposition itself
+allocates nothing through these calls).
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ import numpy as np
 
 from .field import PrimeField, inverse_mod
 from .matrix import _PANEL_ROWS, OpCounts
+
+_STRICT_LOWER = np.tri(_PANEL_ROWS, _PANEL_ROWS, -1)
 
 
 class ClassicalKernels:
@@ -76,8 +82,8 @@ class ClassicalKernels:
 
     # -- triangular solves ----------------------------------------------------
 
-    def trsm_left_unit_lower(self, l: np.ndarray, b: np.ndarray, counts: OpCounts) -> None:
-        """B <- L^-1 B with L unit lower triangular (diagonal implicit)."""
+    def trsm_left_unit_lower(self, l: np.ndarray, b: np.ndarray, counts: OpCounts, invs=None) -> None:
+        """B <- L^-1 B with L unit lower triangular (diagonal implicit) and leaf stack ``invs``."""
         r = l.shape[0]
         if l.shape[1] != r or b.shape[0] != r:
             raise ValueError(f"trsm shapes L{l.shape} B{b.shape}")
@@ -87,18 +93,18 @@ class ClassicalKernels:
         counts.modular_reductions += r * n
         counts.field_mul += n * (r * (r - 1) // 2)
         counts.field_add += n * (r * (r - 1) // 2)
-        self._solve_lower(l, b, None)
+        if r > 1:
+            self._solve_lower(l, b, self.leaf_inverses(l=l)[0] if invs is None else invs)
 
-    def trsm_right_upper(self, b: np.ndarray, u: np.ndarray, counts: OpCounts) -> None:
-        """B <- B U^-1 with U upper triangular, nonzero diagonal inverted up front."""
+    def trsm_right_upper(self, b: np.ndarray, u: np.ndarray, counts: OpCounts, invs=None) -> None:
+        """B <- B U^-1 with U upper triangular, nonzero diagonal, and leaf stack ``invs`` (of U^T)."""
         r = u.shape[0]
         if u.shape[1] != r or b.shape[1] != r:
             raise ValueError(f"trsm shapes B{b.shape} U{u.shape}")
         m = b.shape[0]
         if r == 0:
             return
-        diag = u[np.arange(r), np.arange(r)]
-        if np.any(diag == 0):
+        if not np.diagonal(u).all():
             raise ZeroDivisionError("upper triangular factor has a zero diagonal entry")
         counts.field_inv += r
         if m == 0:
@@ -106,45 +112,67 @@ class ClassicalKernels:
         counts.modular_reductions += 2 * m * r
         counts.field_mul += m * (r * (r + 1) // 2)
         counts.field_add += m * (r * (r - 1) // 2)
-        p = self.field.p
-        inv_diag = np.array([inverse_mod(int(d), p) for d in diag.tolist()], dtype=b.dtype)
-        self._solve_lower(u.T, b.T, inv_diag)  # B U^-1 = (U^-T B^T)^T
+        if r == 1:
+            b.T[:] = self.field.matmul_mod(np.array([[inverse_mod(int(u[0, 0]), self.field.p)]]), b.T)
+        else:  # B U^-1 = (U^-T B^T)^T
+            self._solve_lower(u.T, b.T, self.leaf_inverses(u=u)[1] if invs is None else invs)
 
-    def _solve_lower(self, l: np.ndarray, b: np.ndarray, inv_diag: np.ndarray | None) -> None:
-        """B <- L^-1 B in place, L lower triangular with inverted diagonal
-        ``inv_diag``, or unit diagonal when it is None; charges nothing.
+    def _solve_lower(self, l: np.ndarray, b: np.ndarray, invs: np.ndarray) -> None:
+        """B <- L^-1 B in place, L lower triangular with leaf stack ``invs``;
+        charges nothing.
 
-        Halves until at most _PANEL_ROWS rows are left; such a leaf forms
-        L^-1 (r x r) and applies it with one product (r x n), so its scratch
-        stays inside the kernels' panel bound.
+        Splits at a multiple of _PANEL_ROWS until one leaf is left, so leaf i
+        holds rows [32 i, 32 i + 32) and applies ``invs[i]`` with one product
+        (at most 32 x n): its scratch stays inside the kernels' panel bound.
         """
         r = l.shape[0]
-        if r == 1:
-            if inv_diag is not None:
-                b[:] = self.field.matmul_mod(inv_diag[:, None], b)
-            return
         if r <= _PANEL_ROWS:
-            b[:] = self.field.matmul_mod(self._lower_inverse(l, inv_diag), b)
+            b[:] = self.field.matmul_mod(invs[0][:r, :r], b)
             return
-        h = r // 2
-        top, bottom = (None, None) if inv_diag is None else (inv_diag[:h], inv_diag[h:])
-        self._solve_lower(l[:h, :h], b[:h], top)
+        h = _PANEL_ROWS * -(-r // (2 * _PANEL_ROWS))
+        self._solve_lower(l[:h, :h], b[:h], invs)
         self._sub_mul(b[h:], l[h:, :h], b[:h])
-        self._solve_lower(l[h:, h:], b[h:], bottom)
+        self._solve_lower(l[h:, h:], b[h:], invs[h // _PANEL_ROWS :])
 
-    def _lower_inverse(self, l: np.ndarray, inv_diag: np.ndarray | None) -> np.ndarray:
-        """L^-1 mod p for lower triangular L, diagonal as in ``_solve_lower``.
+    def leaf_inverses(self, l: np.ndarray | None = None, u: np.ndarray | None = None):
+        """(L's stack, U's stack): the inverted 32-row diagonal blocks of L (unit
+        lower) and of U^T (U upper, pivots inverted here) in one stacked pass,
+        None for a triangle that is absent or has one row; charges nothing.
 
-        L = D (I + N) with N strictly lower, so N^r = 0 and
-        (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... up to the power 2^j < r;
-        then L^-1 = (I + N)^-1 D^-1.
+        A triangle of r rows gets ceil(r / k) blocks of k x k (k = 32 above 16
+        rows, else the largest r), the last padded with identity.  A block is
+        D (I + N), N strictly lower (nilpotent), with inverse (I - N)(I + N^2)
+        (I + N^4)... D^-1; a 32-row block takes it on its 16-row halves and
+        joins them with two products, a quarter of the multiplications.
         """
-        field, r = self.field, l.shape[0]
-        eye, n = np.eye(r), np.tril(l, -1)
-        if inv_diag is not None:
-            n = field.matmul_mod(np.diag(inv_diag), n)
-        inv = field.reduce_mod(eye - n)
-        for _ in range((r - 1).bit_length() - 1):
-            n = field.matmul_mod(n, n)
-            inv = field.matmul_mod(inv, eye + n)
-        return inv if inv_diag is None else field.matmul_mod(inv, np.diag(inv_diag))
+        field = self.field
+        lowers = []  # (side, lower triangle, its inverted diagonal) per stack formed
+        if l is not None and len(l) > 1:
+            lowers.append((0, l, np.ones(len(l))))
+        if u is not None and len(u) > 1:
+            lowers.append((1, u.T, np.array([inverse_mod(int(x), field.p) for x in np.diagonal(u).tolist()])))
+        if not lowers:
+            return None, None
+        k = max(len(t) for _, t, _ in lowers)
+        k, h = (_PANEL_ROWS, _PANEL_ROWS // 2) if k > _PANEL_ROWS // 2 else (k, k)  # block, doubling rows
+        leaves, parts = [], [None, None]  # parts[side]: the stack's slice for that triangle
+        for side, t, d in lowers:
+            parts[side] = slice(len(leaves), len(leaves) - (-len(t) // k))
+            leaves += [(t[lo : lo + k, lo : lo + k], d[lo : lo + k]) for lo in range(0, len(t), k)]
+        n, diag = np.zeros((len(leaves), k, k)), np.ones((len(leaves), k))
+        for i, (t, d) in enumerate(leaves):
+            n[i, : len(t), : len(t)] = t
+            diag[i, : len(t)] = d
+        n = field.mul_mod(diag[:, :, None] * _STRICT_LOWER[:k, :k], n)  # D^-1 tril(T, -1)
+        x = n if h == k else np.concatenate((n[:, :h, :h], n[:, h:, h:]))
+        eye = np.eye(h)
+        inv = field.reduce_mod(eye - x)
+        for _ in range((h - 1).bit_length() - 1):
+            x = field.matmul_mod(x, x)
+            inv = field.matmul_mod(inv, eye + x)
+        if h < k:  # [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]
+            a, b, inv = inv[: len(leaves)], inv[len(leaves) :], np.zeros((len(leaves), k, k))
+            inv[:, :h, :h], inv[:, h:, h:] = a, b
+            inv[:, h:, :h] = field.reduce_mod(-field.matmul_mod(b, field.matmul_mod(n[:, h:, :h], a)))
+        inv = field.mul_mod(inv, diag[:, None, :])
+        return tuple(None if leaf is None else inv[leaf] for leaf in parts)

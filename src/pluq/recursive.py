@@ -146,8 +146,10 @@ def _pluq_rec(data, ctx):
     apply_rows(data[:kr, kc:], rows1)   # [B1; B2]
     apply_cols(data[kr:, :kc], cols1)   # [C1 | C2]
 
-    kernels.trsm_left_unit_lower(data[:r1, :r1], data[:r1, kc:], counts)   # D
-    kernels.trsm_right_upper(data[kr:, :r1], data[:r1, :r1], counts)      # E
+    l1_invs, u1_invs = kernels.leaf_inverses(data[:r1, :r1], data[:r1, :r1])
+    kernels.trsm_left_unit_lower(data[:r1, :r1], data[:r1, kc:], counts, l1_invs)   # D
+    kernels.trsm_right_upper(data[kr:, :r1], data[:r1, :r1], counts, u1_invs)      # E
+    del l1_invs, u1_invs  # a node holds only its own leaf stacks while its children run
     kernels.mm_acc(data[r1:, kc:], data[r1:, :r1], data[:r1, kc:], counts)     # F and H
     kernels.mm_acc(data[kr:, r1:kc], data[kr:, :r1], data[:r1, r1:kc], counts)  # G
 
@@ -163,17 +165,19 @@ def _pluq_rec(data, ctx):
 
     u2 = data[r1 : r1 + r2, kc : kc + r2]
     l3 = data[kr : kr + r3, r1 : r1 + r3]
-    kernels.trsm_right_upper(data[kr : kr + r3, kc : kc + r2], u2, counts)  # block now holds I
+    l3_invs, u2_invs = kernels.leaf_inverses(l3, u2)
+    kernels.trsm_right_upper(data[kr : kr + r3, kc : kc + r2], u2, counts, u2_invs)  # block now holds I
 
     # L3^-1 would overwrite the block above, which the output needs; solve on a copy.
     scratch = ctx.ws.element_buffer((r3, r2), data.dtype)
     scratch[:] = data[kr : kr + r3, kc : kc + r2]
-    kernels.trsm_left_unit_lower(l3, scratch, counts)                      # J
+    kernels.trsm_left_unit_lower(l3, scratch, counts, l3_invs)                    # J
 
-    kernels.trsm_right_upper(data[kr + r3 :, kc : kc + r2], u2, counts)    # K
-    kernels.trsm_left_unit_lower(l3, data[kr : kr + r3, kc + r2 :], counts)  # N
+    kernels.trsm_right_upper(data[kr + r3 :, kc : kc + r2], u2, counts, u2_invs)  # K
+    kernels.trsm_left_unit_lower(l3, data[kr : kr + r3, kc + r2 :], counts, l3_invs)  # N
     kernels.mm_acc(data[kr : kr + r3, kc + r2 :], scratch, data[r1 : r1 + r2, kc + r2 :], counts)  # O
     ctx.ws.release(scratch)
+    del l3_invs, u2_invs
 
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, kc : kc + r2], data[r1 : r1 + r2, kc + r2 :], counts)
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, r1 : r1 + r3], data[kr : kr + r3, kc + r2 :], counts)

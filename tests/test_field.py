@@ -193,6 +193,29 @@ def test_matmul_mod_chunked_matches_bignum():
     assert f.matmul_mod(f.asarray(a), f.asarray(b)).tolist() == expected
 
 
+
+@pytest.mark.parametrize("p", MODULI_PRIMES)
+def test_stacked_matmul_mod_matches_python_integers(p):
+    # Leading axes are batch axes on both paths.  Where the field's bound
+    # exceeds 35 it is lowered to 35 (any lower bound is still exact), so that
+    # k = bound takes the one-pass product and k = bound + 1 the limb-split
+    # one; at 2**31 - 1 the bound is 0 and k = 1 is already limb-split.  The
+    # batch is longer than any k, so slicing it in place of the inner
+    # dimension cannot pass.
+    field = PrimeField(p)
+    field.max_accumulate = bound = min(field.max_accumulate, 35)
+    rng = np.random.default_rng(p)
+    for k in sorted({1, max(bound, 1), bound + 1}):
+        a = rng.integers(0, p, (37, 4, k)).astype(object)
+        b = rng.integers(0, p, (37, k, 5)).astype(object)
+        a[0], b[0] = p - 1, p - 1  # the largest partial sums
+        got = field.matmul_mod(a.astype(field.dtype), b.astype(field.dtype))
+        assert got.shape == (37, 4, 5)
+        assert got.astype(np.int64).tolist() == (np.matmul(a, b) % p).tolist(), k
+    # the elementwise product broadcasts like *, exactly on both of its paths
+    got = field.mul_mod(a[:, :, :1].astype(field.dtype), b[:, :1, :].astype(field.dtype))
+    assert got.astype(np.int64).tolist() == (a[:, :, :1] * b[:, :1, :] % p).tolist()
+
 # For every prime of MODULI_PRIMES, floor(x * (1/p)) never falls short of
 # floor(x / p) on the values below; at 2**31 - 19 it falls short by one on
 # multiples of p just below 2**53, which only the ">= p" correction repairs.

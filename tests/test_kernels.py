@@ -218,11 +218,12 @@ def test_block_update_into_strided_and_transposed_views(p, monkeypatch):
             assert np.array_equal(_ints(c), want), k
             c[:] = cells
             assert np.array_equal(host, before), k  # nothing outside C moved
-        # B U^-1 with r = 2 max(k, 17): the solve halves r once or twice before
-        # its 32-row leaves, and its top-level update has inner dimension r / 2,
-        # fused at k = bound >= 17 and limb-split at k = bound + 1.  At the two
-        # primes whose bound is below 17, every update of a solve is limb-split.
-        r = 2 * max(k, _PANEL_ROWS // 2 + 1)
+        # B U^-1 with r = 64 at k = bound and r = 128 at k = bound + 1: the
+        # solve splits at h = 32 ceil(r / 64), so its top-level update has inner
+        # dimension r / 2, 32 (fused at bound = 35) and 64 (limb-split).  At the
+        # two primes whose bound is below 32, every update of a solve is
+        # limb-split.
+        r = 2 * _PANEL_ROWS * (1 if k == bound else 2)
         u = np.triu(rng.integers(0, p, (r, r))).astype(field.dtype)
         u[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
         for bm, host in _views(rng, p, n, r):
@@ -246,21 +247,29 @@ def _forward_substitution(l, b, p, unit):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_solves_across_the_leaf_boundary(p):
-    # The solver halves until at most 32 rows are left and inverts each such
-    # leaf whole: sizes on both sides of one and two halvings, for B as a
-    # slice of a larger matrix and as a transposed view.  L and U share one
-    # packed block, so each solve must ignore the other triangle.
+    # The solver splits at multiples of 32 rows into leaves of at most 32,
+    # each inverted whole in a stack with identity padding, and a block of
+    # more than 16 rows as two joined halves: sizes on both sides of 16 rows
+    # and of one, two and three leaves, for B as a slice of a larger matrix
+    # and as a transposed view.  L and U share one packed block, so each solve
+    # and the stacked pass must ignore the other triangle.  A solve given the
+    # stacks of one shared pass must match one that forms its own.
     rng = np.random.default_rng(p + 14)
     field = PrimeField(p)
     kern = ClassicalKernels(field)
-    for r in (1, 2, 3, 31, 32, 33, 63, 64, 65, 100):
+    for r in (1, 2, 3, 16, 17, 31, 32, 33, 63, 64, 65, 96, 97, 100):
         lu = rng.integers(0, p, (r, r)).astype(field.dtype)
         lu[np.arange(r), np.arange(r)] = rng.integers(1, p, r)
+        l_invs, u_invs = kern.leaf_inverses(lu, lu)
+        assert (l_invs is None) == (u_invs is None) == (r == 1)
         for n in (0, 1, 40):
             for b, host in _views(rng, p, r, n):
                 before, cells = host.copy(), b.copy()
                 kern.trsm_left_unit_lower(lu, b, OpCounts())
                 assert np.array_equal(_ints(b), _forward_substitution(lu, cells, p, True)), (r, n)
+                shared = cells.copy()
+                kern.trsm_left_unit_lower(lu, shared, OpCounts(), l_invs)
+                assert np.array_equal(shared, b), (r, n)
                 b[:] = cells
                 assert np.array_equal(host, before), (r, n)  # nothing outside B moved
             for b, host in _views(rng, p, n, r):
@@ -268,25 +277,39 @@ def test_solves_across_the_leaf_boundary(p):
                 kern.trsm_right_upper(b, lu, OpCounts())  # B U^-1 = (U^-T B^T)^T
                 want = _forward_substitution(lu.T, cells.T, p, False).T
                 assert np.array_equal(_ints(b), want), (r, n)
+                shared = cells.copy()
+                kern.trsm_right_upper(shared, lu, OpCounts(), u_invs)
+                assert np.array_equal(shared, b), (r, n)
                 b[:] = cells
                 assert np.array_equal(host, before), (r, n)
 
 
 def test_solver_call_count_with_32_row_leaves(monkeypatch):
-    # r = 512 halves four times into 16 leaves of 32 rows: 31 solver calls
-    # for each solve, where halving down to single rows would make 1023.
-    calls = []
-    solve = ClassicalKernels._solve_lower
+    # The solver splits r rows at h = 32 ceil(r / 64).  r = 512 splits four
+    # times into 16 leaves of 32 rows: 31 solver calls for each solve, where
+    # halving down to single rows would make 1023.  r = 100 splits into
+    # 64 + 36, then 32 + 32 and 32 + 4: 7 calls, leaves of 32, 32, 32 and 4
+    # (halving at r // 2 would make four of 25).  A solve given no stack forms
+    # it in one pass.
+    calls, passes = [], []
+    solve, inverses = ClassicalKernels._solve_lower, ClassicalKernels.leaf_inverses
     monkeypatch.setattr(ClassicalKernels, "_solve_lower",
-                        lambda self, l, b, d: calls.append(l.shape[0]) or solve(self, l, b, d))
-    field, r = PrimeField(1009), 512
+                        lambda self, l, b, invs: calls.append(l.shape[0]) or solve(self, l, b, invs))
+    monkeypatch.setattr(ClassicalKernels, "leaf_inverses",
+                        lambda self, l=None, u=None: passes.append(1) or inverses(self, l, u))
+    field = PrimeField(1009)
     kern = ClassicalKernels(field)
-    u = np.triu(np.ones((r, r), field.dtype))
-    kern.trsm_left_unit_lower(u.T.copy(), np.ones((r, 3), field.dtype), OpCounts())
-    assert len(calls) == 31 and calls.count(32) == 16
-    calls.clear()
-    kern.trsm_right_upper(np.ones((3, r), field.dtype), u, OpCounts())
-    assert len(calls) == 31 and calls.count(32) == 16
+    for r, n_calls, leaves in ((512, 31, [32] * 16), (100, 7, [32, 32, 32, 4])):
+        u = np.triu(np.ones((r, r), field.dtype))
+        for solve_once in (
+            lambda: kern.trsm_left_unit_lower(u.T.copy(), np.ones((r, 3), field.dtype), OpCounts()),
+            lambda: kern.trsm_right_upper(np.ones((3, r), field.dtype), u, OpCounts()),
+        ):
+            calls.clear()
+            passes.clear()
+            solve_once()
+            assert len(calls) == n_calls and [c for c in calls if c <= _PANEL_ROWS] == leaves, r
+            assert len(passes) == 1, r
 
 
 class RecordingKernels(ClassicalKernels):
@@ -295,6 +318,7 @@ class RecordingKernels(ClassicalKernels):
     def __init__(self, field):
         super().__init__(field)
         self.calls = 0
+        self.shared_right = 0  # right solves given a node's stack
 
     def _snap(self, counts):
         return dataclasses.replace(counts)
@@ -309,27 +333,30 @@ class RecordingKernels(ClassicalKernels):
         assert counts.field_mul - before.field_mul == (m * n * k if expect else 0)
         self.calls += 1
 
-    def trsm_left_unit_lower(self, l, b, counts):
+    def trsm_left_unit_lower(self, l, b, counts, invs=None):
         before = self._snap(counts)
-        super().trsm_left_unit_lower(l, b, counts)
+        super().trsm_left_unit_lower(l, b, counts, invs)
         r, n = l.shape[0], b.shape[1]
         assert counts.modular_reductions - before.modular_reductions == (r * n if r and n else 0)
         self.calls += 1
 
-    def trsm_right_upper(self, b, u, counts):
+    def trsm_right_upper(self, b, u, counts, invs=None):
         before = self._snap(counts)
-        super().trsm_right_upper(b, u, counts)
+        super().trsm_right_upper(b, u, counts, invs)
         m, r = b.shape
         assert counts.modular_reductions - before.modular_reductions == (2 * m * r if r else 0)
-        assert counts.field_inv - before.field_inv == r
+        assert counts.field_inv - before.field_inv == r  # also where the stack is shared
+        self.shared_right += invs is not None and m > 0
         self.calls += 1
 
 
 def test_reduction_charges_match_closed_forms_throughout_decomposition():
     rng = np.random.default_rng(123)
+    calls = shared_right = 0
     for trial in range(20):
         m, n = (int(x) for x in rng.integers(1, 20, 2))
         a = random_matrix(rng, m, n, 101)
         kern = RecordingKernels(a.field)
         pluq(a, threshold=2, kernels=kern, counts=OpCounts())
-    assert kern.calls > 0
+        calls, shared_right = calls + kern.calls, shared_right + kern.shared_right
+    assert calls > 0 and shared_right > 0

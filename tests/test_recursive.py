@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pluq import (
+    ClassicalKernels,
     DenseMatrix,
     OpCounts,
     Permutation,
     PrimeField,
     TrackingWorkspace,
+    gen_full_rank_generic,
     gen_rank_deficient_rect,
     leading_rank_profiles,
     pluq,
@@ -268,3 +272,37 @@ def test_lone_bottom_right_entry_reconstructs(threshold, shape):
     assert f.rank == 1
     assert f.reconstruct() == orig
     assert not f.check_structure()
+
+
+def test_one_stacked_leaf_inversion_per_node(monkeypatch):
+    # Every solve at a node takes the stacks of one shared pass.  On a generic
+    # full-rank input each node has r2 = r3 = 0, so D and E share the pass
+    # over L1 and U1: exactly one pass per node with r1 >= 2 (1 + 2 + 4 + 8
+    # nodes from 256 down to 32 rows), and no solve forms its own.
+    rec, inverses = recursive._pluq_rec, ClassicalKernels.leaf_inverses
+    numbers, open_calls = itertools.count(), []  # (call number, its children's ranks)
+    nodes, passes = [], []
+
+    def node(data, ctx):
+        open_calls.append((next(numbers), []))
+        rows, cols, r = rec(data, ctx)
+        number, ranks = open_calls.pop()
+        if ranks and ranks[0] >= 2:
+            nodes.append(number)
+        if open_calls:
+            open_calls[-1][1].append(r)
+        return rows, cols, r
+
+    def counting(self, l=None, u=None):
+        stacks = inverses(self, l, u)
+        if any(s is not None for s in stacks):
+            passes.append(open_calls[-1][0])
+        return stacks
+
+    monkeypatch.setattr(recursive, "_pluq_rec", node)
+    monkeypatch.setattr(ClassicalKernels, "leaf_inverses", counting)
+    a = gen_full_rank_generic(256, 1009, seed=6)
+    f = pluq(a.copy(), threshold=DEFAULT_THRESHOLD)
+    assert f.rank == 256 and f.reconstruct() == a
+    assert len(nodes) == 15
+    assert sorted(passes) == sorted(nodes)
