@@ -24,7 +24,7 @@ from .oracle import (
     row_rank_profile_naive,
 )
 from .rank_profile import col_rank_profile, leading_rank_profiles, row_rank_profile
-from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, Workspace, pluq
+from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, pluq
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "PluqFactors",
     "PrimeField",
     "TrackingWorkspace",
-    "Workspace",
     "all_leading_rank_profiles_naive",
     "check_triangular_extension",
     "col_rank_profile",

@@ -1,17 +1,17 @@
 """Iterative PLUQ over an incrementally growing leading submatrix.
 
 The pivot search walks a Z-curve frontier (i, j): at each step it probes the
-column segment A[r:i, j], then the row segment A[i, r:j], then the corner
-A[i, j].  A step whose probes all miss jumps straight to the first later step
-whose probes reach a nonzero, and the search ends when none is left.  A pivot
-found at (p, q) eliminates everything below it to its right; the pivot row and
-column are then rotated into position r, shifting the rows/columns in between
-by one slot.  The rotation (rather than a plain swap) keeps the remaining rows
-and columns in their original relative order, which is what makes every pivot
-the lexicographically earliest available one and lets the permutations reveal
-the rank profiles of all leading submatrices.  Output is the same packed
-[L\\U, V; M, 0] layout as the block-recursive algorithm, which uses this
-routine as its base case.
+column segment A[r:i, j], then the row segment A[i, r:j] and the corner
+A[i, j] together, as A[i, r:j+1].  A step whose probes all miss jumps straight
+to the first later step whose probes reach a nonzero, and the search ends when
+none is left.  A pivot found at (p, q) eliminates everything below it to its
+right; the pivot row and column are then rotated into position r, shifting the
+rows/columns in between by one slot.  The rotation (rather than a plain swap)
+keeps the remaining rows and columns in their original relative order, which
+is what makes every pivot the lexicographically earliest available one and
+lets the permutations reveal the rank profiles of all leading submatrices.
+Output is the same packed [L\\U, V; M, 0] layout as the block-recursive
+algorithm, which uses this routine as its base case.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCo
                 pivot = (r + int(nz[0]), j)
                 j += 1
         if pivot is None and i < m:
-            nz = np.nonzero(data[i, r:j])[0]
+            nz = np.nonzero(data[i, r : j + 1])[0]
             if nz.size:
                 pivot = (i, r + int(nz[0]))
                 i += 1
-            elif j < n and data[i, j] != 0:
-                pivot = (i, j)
-                i += 1
-                j += 1
+                if pivot[1] == j:  # the corner: the frontier's column advances too
+                    j += 1
         if pivot is None:
             # data[r:i, r:j] is zero, so the first step whose probes reach a
             # nonzero (a, b) is max(a - i, b - j) further on; in each row the

@@ -25,10 +25,6 @@ class LeuFactors:
     e: DenseMatrix      # m x n, r entries equal to 1, distinct rows and columns
     ubar: DenseMatrix   # n x n upper triangular
 
-    @property
-    def p(self) -> int:
-        return self.lbar.p
-
 
 def _is_unit_lower(arr: np.ndarray) -> bool:
     return bool(np.all(np.triu(arr, 1) == 0) and np.all(np.diagonal(arr) == 1))

@@ -140,16 +140,6 @@ class DenseMatrix:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         self.data = arr
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zeros(cls, m: int, n: int, field: PrimeField) -> "DenseMatrix":
-        return cls(field, np.zeros((m, n), dtype=field.dtype))
-
-    @classmethod
-    def identity(cls, n: int, field: PrimeField) -> "DenseMatrix":
-        return cls(field, np.eye(n, dtype=field.dtype))
-
     # -- basics -----------------------------------------------------------
 
     @property
@@ -253,9 +243,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self.sigma.tolist()})"
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.sigma, np.arange(self.size)))
-
     def compose(self, other: "Permutation") -> "Permutation":
         """Permutation whose matrix is Mat(self) @ Mat(other)."""
         if other.size != self.size:
@@ -264,13 +251,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(_inverse_map(self.sigma))
-
-    def to_matrix(self, field: PrimeField) -> DenseMatrix:
-        """Explicit 0/1 matrix Mat(sigma); tests only, no package code calls it."""
-        s = self.size
-        mat = np.zeros((s, s), dtype=field.dtype)
-        mat[np.arange(s), self.sigma] = 1
-        return DenseMatrix(field, mat)
 
     def serialize(self) -> str:
         return _decimal_rows(self.sigma[None, :], self.size - 1)[:-1]

@@ -35,51 +35,35 @@ from .matrix import perm_block_diag  # noqa: F401  (perfbench's tracer wraps it 
 DEFAULT_THRESHOLD = 30
 
 
-class Workspace:
-    """Source of the decomposition's auxiliary element buffers.
+class TrackingWorkspace:
+    """Source of the decomposition's auxiliary element buffers, and their tally.
 
     The recursion requests every element buffer it needs through this object
     (the r3 x r2 triangular-solve scratch, the only one), which is what lets
-    the in-place contract be asserted by tests.
+    the in-place contract be asserted: ``peak_elements`` is the most elements
+    live at once, ``max_scratch_block`` the largest single buffer.
     """
-
-    def element_buffer(self, shape, dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
-    def release(self, buf: np.ndarray) -> None:
-        pass
-
-
-class TrackingWorkspace(Workspace):
-    """Workspace recording live/peak element counts for the in-place tests."""
 
     def __init__(self):
         self.live_elements = 0
         self.peak_elements = 0
-        self.scratch_blocks: list[int] = []
-        self._sizes: dict[int, int] = {}
+        self.max_scratch_block = 0
 
     def element_buffer(self, shape, dtype) -> np.ndarray:
-        buf = super().element_buffer(shape, dtype)
-        self._sizes[id(buf)] = buf.size
+        buf = np.zeros(shape, dtype=dtype)
         self.live_elements += buf.size
         self.peak_elements = max(self.peak_elements, self.live_elements)
-        self.scratch_blocks.append(buf.size)
+        self.max_scratch_block = max(self.max_scratch_block, buf.size)
         return buf
 
     def release(self, buf: np.ndarray) -> None:
-        self.live_elements -= self._sizes.pop(id(buf), 0)
-
-    @property
-    def max_scratch_block(self) -> int:
-        return max(self.scratch_blocks, default=0)
+        self.live_elements -= buf.size
 
 
 def build_s_perm(r1: int, r2: int, r3: int, r4: int, k: int, m: int) -> Permutation:
     """Row gather order that reorders the four row blocks of sizes
-    (r1+r2, k-r1-r2, r3+r4, m-k-r3-r4) into (block1, block3, block2, block4)."""
-    if not (0 <= r1 + r2 <= k <= m and 0 <= r3 + r4 <= m - k):
-        raise ValueError(f"inconsistent row block sizes ({r1},{r2},{r3},{r4},k={k},m={m})")
+    (r1+r2, k-r1-r2, r3+r4, m-k-r3-r4) into (block1, block3, block2, block4).
+    Unchecked: the child ranks make every block size nonnegative."""
     a, b, ar = r1 + r2, k + r3 + r4, np.arange
     blocks = (ar(a), ar(k, b), ar(a, k), ar(b, m))
     return Permutation._unchecked(np.concatenate(blocks, dtype=np.int64))
@@ -88,9 +72,7 @@ def build_s_perm(r1: int, r2: int, r3: int, r4: int, k: int, m: int) -> Permutat
 def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutation:
     """Column gather order that reorders the six column blocks of sizes
     (r1, r3, k-r1-r3, r2, r4, n-k-r2-r4) into (r1-block, r2-block, r3-block,
-    r4-block, remaining-left, remaining-right)."""
-    if not (0 <= r1 + r3 <= k <= n and 0 <= r2 + r4 <= n - k):
-        raise ValueError(f"inconsistent column block sizes ({r1},{r2},{r3},{r4},k={k},n={n})")
+    r4-block, remaining-left, remaining-right), unchecked like ``build_s_perm``."""
     a, b, ar = r1 + r3, k + r2, np.arange
     blocks = (ar(r1), ar(k, b), ar(r1, a), ar(b, b + r4), ar(a, k), ar(b + r4, n))
     return Permutation._unchecked(np.concatenate(blocks, dtype=np.int64))
@@ -103,7 +85,7 @@ class _Ctx:
     threshold: int
     counts: OpCounts
     kernels: ClassicalKernels
-    ws: Workspace
+    ws: TrackingWorkspace
 
 
 def pluq(
@@ -111,7 +93,7 @@ def pluq(
     threshold: int = DEFAULT_THRESHOLD,
     counts: OpCounts | None = None,
     kernels: ClassicalKernels | None = None,
-    workspace: Workspace | None = None,
+    workspace: TrackingWorkspace | None = None,
 ) -> PluqFactors:
     """Full decomposition; ``a``'s storage is overwritten with the packed factors.
 
@@ -124,7 +106,7 @@ def pluq(
         threshold=threshold,
         counts=counts if counts is not None else OpCounts(),
         kernels=kernels if kernels is not None else ClassicalKernels(a.field),
-        ws=workspace if workspace is not None else Workspace(),
+        ws=workspace if workspace is not None else TrackingWorkspace(),
     )
     rows, cols, rank = _pluq_rec(a.data, ctx)
     return PluqFactors(rows.inverse(), cols, rank, a)

@@ -7,7 +7,6 @@ DOCUMENTED_API = {
     "DEFAULT_THRESHOLD",
     "ClassicalKernels",
     "OpCounts",
-    "Workspace",
     "TrackingWorkspace",
     # fields, matrices, permutations, factors
     "PrimeField",

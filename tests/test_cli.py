@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pluq import DenseMatrix, PrimeField, gen_rank_deficient_rect
+from pluq import gen_rank_deficient_rect
 from pluq.cli import main
 from conftest import mat
 
@@ -14,7 +14,7 @@ def write(path, matrix):
 
 
 def test_decompose_identity(tmp_path, capsys):
-    src = write(tmp_path / "a.txt", DenseMatrix.identity(3, PrimeField(5)))
+    src = write(tmp_path / "a.txt", mat(np.eye(3), 5))
     out = tmp_path / "f.txt"
     assert main(["decompose", src, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -60,7 +60,7 @@ def test_verify_dimension_mismatch(tmp_path):
 
 
 def test_rank_profile_full_rank(tmp_path, capsys):
-    src = write(tmp_path / "a.txt", DenseMatrix.identity(4, PrimeField(5)))
+    src = write(tmp_path / "a.txt", mat(np.eye(4), 5))
     assert main(["rank-profile", src]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"rows": [0, 1, 2, 3], "cols": [0, 1, 2, 3]}

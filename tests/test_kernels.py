@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pluq import ClassicalKernels, DenseMatrix, OpCounts, PrimeField, pluq
+from pluq import ClassicalKernels, OpCounts, PrimeField, pluq
 from pluq.matrix import _PANEL_ROWS
 from conftest import mat, random_matrix
 from test_moduli import PRIMES
@@ -24,8 +24,8 @@ def naive_mm_acc(c, a, b, p):
 def test_mm_acc_identity_example():
     field = PrimeField(5)
     kern = ClassicalKernels(field)
-    c = DenseMatrix.zeros(2, 2, field)
-    a = DenseMatrix.identity(2, field)
+    c = mat([[0, 0], [0, 0]], 5)
+    a = mat(np.eye(2), 5)
     b = mat([[1, 2], [3, 4]], 5)
     kern.mm_acc(c.data, a.data, b.data, OpCounts())
     assert c == mat([[4, 3], [2, 1]], 5)  # 0 - I*B = -B
@@ -104,7 +104,7 @@ def test_trsm_left_unit_identity_noop():
     field = PrimeField(5)
     kern = ClassicalKernels(field)
     b = mat([[1, 2], [3, 4]], 5)
-    kern.trsm_left_unit_lower(DenseMatrix.identity(2, field).data, b.data, OpCounts())
+    kern.trsm_left_unit_lower(np.eye(2), b.data, OpCounts())
     assert b == mat([[1, 2], [3, 4]], 5)
 
 
@@ -131,7 +131,7 @@ def test_trsm_right_upper_identity_noop():
     rng = np.random.default_rng(8)
     b = random_matrix(rng, 3, 3, 7)
     expected = b.copy()
-    kern.trsm_right_upper(b.data, DenseMatrix.identity(3, field).data, OpCounts())
+    kern.trsm_right_upper(b.data, np.eye(3), OpCounts())
     assert b == expected
 
 

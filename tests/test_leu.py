@@ -5,7 +5,6 @@ from pluq import (
     DenseMatrix,
     Permutation,
     PluqFactors,
-    PrimeField,
     check_triangular_extension,
     gen_rank_deficient_rect,
     pluq,
@@ -26,7 +25,7 @@ def random_upper(rng, s, p, dtype):
 
 
 def test_identity_converts_to_identities():
-    a = DenseMatrix.identity(4, PrimeField(7))
+    a = mat(np.eye(4), 7)
     orig = a.copy()
     leu = to_leu(pluq(a), orig)
     eye = np.eye(4)
@@ -60,7 +59,7 @@ def test_to_leu_validates_original():
     a = gen_rank_deficient_rect(5, 4, 2, 7, seed=6)
     f = pluq(a.copy())
     with pytest.raises(ValueError):
-        to_leu(f, DenseMatrix.zeros(4, 5, a.field))
+        to_leu(f, DenseMatrix(a.field, np.zeros((4, 5))))
     wrong = a.copy()
     wrong.data[4, 3] = (wrong.data[4, 3] + 1) % 7
     with pytest.raises(RuntimeError, match="Lbar E Ubar"):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from pluq import (
-    DenseMatrix,
     LeadingProfileTable,
     OpCounts,
-    PrimeField,
     all_leading_rank_profiles_naive,
     col_rank_profile_naive,
     gen_full_rank_generic,
@@ -23,12 +21,12 @@ from conftest import mat, random_matrix
 
 def test_rank_naive_trivial():
     assert rank_naive(mat([[0, 0], [0, 0]], 5)) == 0
-    assert rank_naive(DenseMatrix.identity(4, PrimeField(5))) == 4
+    assert rank_naive(mat(np.eye(4), 5)) == 4
     assert rank_naive(mat([[1, 2], [2, 4]], 5)) == 1  # row 2 = 2 * row 1
 
 
 def test_profiles_trivial():
-    assert row_rank_profile_naive(DenseMatrix.identity(3, PrimeField(2))) == (0, 1, 2)
+    assert row_rank_profile_naive(mat(np.eye(3), 2)) == (0, 1, 2)
     assert row_rank_profile_naive(mat([[0, 0], [0, 1]], 2)) == (1,)
     assert col_rank_profile_naive(mat([[0, 0], [0, 1]], 2)) == (1,)
 
@@ -102,7 +100,7 @@ def test_fast_table_matches_literal_oracle():
 
 def test_ple_identity():
     counts = OpCounts()
-    f = ple_row_major(DenseMatrix.identity(8, PrimeField(1009)), counts)
+    f = ple_row_major(mat(np.eye(8), 1009), counts)
     assert f.rank == 8
     assert counts.modular_reductions == r_ple_recurrence(8, 8)
 

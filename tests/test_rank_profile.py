@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from pluq import (
-    DenseMatrix,
-    PrimeField,
     col_rank_profile,
     gen_rank_deficient_rect,
     leading_rank_profiles,
@@ -13,11 +11,11 @@ from pluq import (
 )
 from pluq import matrix
 from pluq.oracle import all_leading_rank_profiles_naive
-from conftest import mat, random_matrix
+from conftest import mat, random_matrix, to_matrix
 
 
 def test_full_rank_identity():
-    f = pluq(DenseMatrix.identity(4, PrimeField(5)))
+    f = pluq(mat(np.eye(4), 5))
     assert row_rank_profile(f) == (0, 1, 2, 3)
     assert col_rank_profile(f) == (0, 1, 2, 3)
 
@@ -61,13 +59,13 @@ def test_profile_matches_explicit_permutation_matrix():
         a = random_matrix(rng, m, n, 7)
         f = pluq(a.copy())
         field = a.field
-        pmat = f.p_perm.to_matrix(field).data
+        pmat = to_matrix(f.p_perm, field)
         sel = np.zeros((m, n), dtype=field.dtype)
         sel[: f.rank, : f.rank] = np.eye(f.rank)
         left = field.matmul_mod(pmat, sel)
         rows_explicit = tuple(int(i) for i in np.nonzero(left.any(axis=1))[0])
         assert row_rank_profile(f) == rows_explicit
-        qmat = f.q_perm.to_matrix(field).data
+        qmat = to_matrix(f.q_perm, field)
         right = field.matmul_mod(sel, qmat)
         cols_explicit = tuple(int(j) for j in np.nonzero(right.any(axis=0))[0])
         assert col_rank_profile(f) == cols_explicit

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pluq import DEFAULT_THRESHOLD, gen_rank_deficient_rect, pluq, recursive
+from pluq import DEFAULT_THRESHOLD, OpCounts, TrackingWorkspace, gen_rank_deficient_rect, pluq, recursive
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402  (perfbench is not a package)
@@ -51,3 +51,12 @@ def test_applied_orders_are_not_rewritten(monkeypatch, threshold):
     pluq(gen_rank_deficient_rect(128, 128, 64, 1009, seed=3), threshold=threshold)
     assert kept
     assert all(np.array_equal(order, copy) for order, copy in kept)
+
+
+def test_workspace_totals_read_by_the_benchmark():
+    # perfbench's model_counts runs pluq this way and records both totals
+    ws = TrackingWorkspace()
+    pluq(gen_rank_deficient_rect(64, 64, 32, 1009, seed=3), counts=OpCounts(), workspace=ws)
+    assert type(ws.peak_elements) is int and type(ws.max_scratch_block) is int
+    assert ws.peak_elements == ws.max_scratch_block > 0
+    assert ws.live_elements == 0
