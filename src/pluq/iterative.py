@@ -72,7 +72,7 @@ def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCo
             inv_piv = inverse_mod(int(data[prow, qcol]), field.p)
             counts.field_inv += 1
             mults = data[prow + 1 :, qcol : qcol + 1]
-            mults[:] = field.matmul_mod(mults, np.full((1, 1), inv_piv, data.dtype))
+            mults[:] = field.mul_mod(mults, np.float64(inv_piv))
             counts.field_mul += below
             counts.modular_reductions += below
             kernels.mm_acc(data[prow + 1 :, qcol + 1 :], mults, data[prow : prow + 1, qcol + 1 :], counts)

@@ -27,6 +27,9 @@ _DECIMAL_CHARS = b"0123456789 \t\r\n"
 # formats this many rows at a time.
 _PANEL_ROWS = 32
 
+# Widest matrix with no rows a file may declare: no row bounds n, yet Q has n entries.
+_MAX_EMPTY_WIDTH = 1 << 20
+
 
 def _check_decimal_text(text: str) -> None:
     """Reject text with any character besides ASCII digits, spaces, tabs and
@@ -194,6 +197,8 @@ class DenseMatrix:
         if len(header) != 3:
             raise ValueError(f"bad matrix header {lines[0]!r}, expected 'm n p'")
         m, n, p = (int(x) for x in header)  # no sign: the character check rejects it
+        if m == 0 and n > _MAX_EMPTY_WIDTH:
+            raise ValueError(f"a matrix with no rows may have at most {_MAX_EMPTY_WIDTH} columns, got {n}")
         field = PrimeField(p)
         body, trailing = lines[1 : 1 + m], lines[1 + m :]
         if len(body) != m or any(ln.strip() for ln in trailing):
@@ -266,13 +271,11 @@ class Permutation:
 
 def perm_block_diag(perms: list[Permutation]) -> Permutation:
     """Diag(p1, ..., pk) acting on the concatenated index ranges."""
-    total = sum(p.size for p in perms)
-    sigma = np.empty(total, dtype=np.int64)
-    off = 0
+    off, parts = 0, [np.empty(0, dtype=np.int64)]
     for p in perms:
-        sigma[off : off + p.size] = p.sigma + off
+        parts.append(p.sigma + off)
         off += p.size
-    return Permutation._unchecked(sigma)
+    return Permutation._unchecked(np.concatenate(parts))
 
 
 def _inverse_map(sigma: np.ndarray) -> np.ndarray:

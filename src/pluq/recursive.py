@@ -6,8 +6,8 @@ two independent recursive calls handle the anti-diagonal quadrants, a last
 round of updates forms the bottom-right Schur-type block for the fourth call,
 and two block permutations S (rows) and T (columns) gather the factors into
 the packed [L\\U, V; M, 0] layout.  Everything runs inside the input storage;
-the one licensed scratch buffer is the copy of the block that a triangular
-solve would otherwise destroy, of size r3 x r2.  Permutations gather in
+the one licensed scratch buffer holds aside the r3 x r2 block I that a
+triangular solve overwrites and the output keeps.  Permutations gather in
 bounded panels (see ``matrix._permute_inplace``) and need no buffer.
 
 A block with at most ``threshold`` rows or columns, which includes every
@@ -29,8 +29,8 @@ from .matrix import (
     PluqFactors,
     apply_cols,
     apply_rows,
+    perm_block_diag,
 )
-from .matrix import perm_block_diag  # noqa: F401  (perfbench's tracer wraps it in this namespace)
 
 DEFAULT_THRESHOLD = 30
 
@@ -140,24 +140,22 @@ def _pluq_rec(data, ctx):
 
     apply_rows(data[kr:, kc:], rows3)
     apply_cols(data[kr:, kc:], cols2)
-    apply_rows(data[kr:, :r1], rows3)
-    apply_rows(data[r1:kr, :r1], rows2)
-    apply_cols(data[:r1, kc:], cols2)
-    apply_cols(data[:r1, r1:kc], cols3)
+    apply_rows(data[r1:, :r1], perm_block_diag([rows2, rows3]))
+    apply_cols(data[:r1, r1:], perm_block_diag([cols3, cols2]))
 
     u2 = data[r1 : r1 + r2, kc : kc + r2]
     l3 = data[kr : kr + r3, r1 : r1 + r3]
     l3_invs, u2_invs = kernels.leaf_inverses(l3, u2)
-    kernels.trsm_right_upper(data[kr : kr + r3, kc : kc + r2], u2, counts, u2_invs)  # block now holds I
+    kernels.trsm_right_upper(data[kr : kr + r3, kc : kc + r2], u2, counts, u2_invs)  # I
+    kernels.trsm_right_upper(data[kr + r3 :, kc : kc + r2], u2, counts, u2_invs)     # K
 
-    # L3^-1 would overwrite the block above, which the output needs; solve on a copy.
+    # One solve turns [I | .] into [J | N]; the scratch keeps I, which the output needs.
+    slab = data[kr : kr + r3, kc:]
     scratch = ctx.ws.element_buffer((r3, r2), data.dtype)
-    scratch[:] = data[kr : kr + r3, kc : kc + r2]
-    kernels.trsm_left_unit_lower(l3, scratch, counts, l3_invs)                    # J
-
-    kernels.trsm_right_upper(data[kr + r3 :, kc : kc + r2], u2, counts, u2_invs)  # K
-    kernels.trsm_left_unit_lower(l3, data[kr : kr + r3, kc + r2 :], counts, l3_invs)  # N
-    kernels.mm_acc(data[kr : kr + r3, kc + r2 :], scratch, data[r1 : r1 + r2, kc + r2 :], counts)  # O
+    scratch[:] = slab[:, :r2]
+    kernels.trsm_left_unit_lower(l3, slab, counts, l3_invs)  # J and N
+    kernels.mm_acc(slab[:, r2:], slab[:, :r2], data[r1 : r1 + r2, kc + r2 :], counts)  # O
+    slab[:, :r2] = scratch
     ctx.ws.release(scratch)
     del l3_invs, u2_invs
 

@@ -29,6 +29,36 @@ def test_decompose_zero_matrix(tmp_path):
     assert out.read_text().splitlines()[0] == "2 4 7 0"
 
 
+def test_decompose_to_stdout(tmp_path, capsys):
+    fixture = gen_rank_deficient_rect(6, 5, 2, 101, seed=2)
+    src = write(tmp_path / "m.txt", fixture)
+    assert main(["decompose", src, "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == "6 5 101 2"
+    (tmp_path / "f.txt").write_text(text)
+    assert main(["verify", src, str(tmp_path / "f.txt")]) == 0
+
+
+def test_empty_matrix_round_trip(tmp_path, capsys):
+    src = tmp_path / "m.txt"
+    src.write_text("0 5 7\n")
+    out = tmp_path / "f.txt"
+    assert main(["decompose", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == "0 5 7 0\n\n0 1 2 3 4\n0 5 7\n"
+    assert main(["verify", str(src), str(out)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+
+
+def test_wide_empty_matrix_exits_before_allocating(tmp_path, capsys):
+    # 17 bytes that would otherwise ask for a 2^31-entry Q
+    src = tmp_path / "m.txt"
+    src.write_text("0 2147483647 101\n")
+    out = tmp_path / "f.txt"
+    assert main(["decompose", str(src), "--out", str(out)]) == 2
+    assert "no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_verify_roundtrip(tmp_path):
     fixture = gen_rank_deficient_rect(8, 8, 4, 101, seed=7)
     src = write(tmp_path / "m.txt", fixture)
@@ -86,12 +116,28 @@ def test_rank_profile_all_leading_with_oracle(tmp_path, capsys):
     assert first["k"] == 0 and first["rows"] == []
 
 
+def test_rank_profile_whole_matrix_with_oracle(tmp_path, capsys):
+    src = write(tmp_path / "a.txt", gen_rank_deficient_rect(6, 5, 3, 101, seed=4))
+    assert main(["rank-profile", src, "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"rows", "cols"}
+    assert len(payload["rows"]) == len(payload["cols"]) == 3
+
+
 def test_count_pluq_matches_model(tmp_path, capsys):
     assert main(["count", "--algo", "pluq", "--m", "64", "--n", "64"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["modular_reductions"] == 8064
     assert payload["predicted_reductions"] == 8064
     assert payload["delta"] == 0
+
+
+def test_count_deficient_profile_has_no_prediction(capsys):
+    assert main(["count", "--m", "16", "--n", "12", "--profile", "deficient", "--rank", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["profile"] == "deficient"
+    assert payload["counts"]["modular_reductions"] > 0
+    assert payload["predicted_reductions"] is None and payload["delta"] is None
 
 
 def test_count_ple_single_row(tmp_path, capsys):
@@ -123,6 +169,14 @@ def test_bench_counts_deterministic_across_reps(tmp_path):
     cells = [r.split(",") for r in rows]
     assert len({(c[7], c[8]) for c in cells}) == 1  # field_mul, reductions identical
     assert [c[5] for c in cells] == ["0", "1", "2"]
+
+
+def test_bench_to_stdout(capsys):
+    assert main(["bench", "--m", "8", "--n", "8", "--reps", "2", "--csv", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "algo,m,n,rank,threshold,rep,seconds,field_mul,reductions"
+    assert [ln.split(",")[:6] for ln in lines[1:]] == [
+        ["recursive", "8", "8", "4", "30", str(rep)] for rep in range(2)]
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -143,6 +143,17 @@ def test_trsm_zero_diagonal_raises():
         kern.trsm_right_upper(np.zeros((2, 2), field.dtype), u.data, OpCounts())
 
 
+def test_trsm_shape_errors():
+    kern = ClassicalKernels(PrimeField(5))
+    # L or U not square, or B not matching the triangle's order
+    for l, b in (((2, 3), (2, 1)), ((2, 2), (3, 1))):
+        with pytest.raises(ValueError, match="trsm shapes"):
+            kern.trsm_left_unit_lower(np.eye(*l), np.zeros(b), OpCounts())
+    for b, u in (((1, 2), (2, 3)), ((1, 3), (2, 2))):
+        with pytest.raises(ValueError, match="trsm shapes"):
+            kern.trsm_right_upper(np.zeros(b), np.eye(*u), OpCounts())
+
+
 def _in_wider(arr, rng, p):
     """``arr`` as a column slice of a wider array, as the recursion passes blocks."""
     rows, cols = arr.shape

@@ -47,6 +47,11 @@ def test_permutation_rejects_non_bijection():
         Permutation.deserialize("1 0", size=3)
 
 
+def test_permutation_map_must_be_1d():
+    with pytest.raises(ValueError, match="1-d"):
+        Permutation(np.zeros((2, 2), dtype=np.int64))
+
+
 def _assert_bijection(perm):
     assert perm.sigma.dtype == np.int64 and perm.sigma.ndim == 1
     assert np.array_equal(np.sort(perm.sigma), np.arange(perm.size))
@@ -221,7 +226,23 @@ def test_permutation_serialization_roundtrip():
     assert sigma.serialize() == "3 1 0 2"
 
 
+@pytest.mark.parametrize("apply", [apply_rows, apply_cols])
+def test_apply_rejects_an_order_of_the_wrong_size(apply):
+    # a short order would permute a prefix of the lines and leave the rest
+    block = np.arange(12.0).reshape(3, 4)
+    for size in (2, 5):
+        with pytest.raises(ValueError, match="permutation size"):
+            apply(block, Permutation.identity(size))
+    assert np.array_equal(block, np.arange(12.0).reshape(3, 4))
+
+
 # -- dense matrices -----------------------------------------------------------
+
+
+def test_dense_matrix_must_be_2d():
+    for data in (np.zeros(3), np.zeros((1, 2, 2)), 4):
+        with pytest.raises(ValueError, match="2-d"):
+            DenseMatrix(PrimeField(5), data)
 
 
 def test_zero_dimensions_are_valid():
@@ -322,6 +343,17 @@ def test_text_rejects_bad_input():
             DenseMatrix.from_text(f"{token} 1 101\n0\n")
 
 
+def test_text_bounds_the_width_of_an_empty_matrix():
+    # no row bounds n in a 0 x n file, yet its factors hold an n-entry Q
+    assert DenseMatrix.from_text(f"0 {1 << 20} 101\n").shape == (0, 1 << 20)
+    for n in ((1 << 20) + 1, 2**31 - 1, 10**30):
+        with pytest.raises(ValueError, match="no rows"):
+            DenseMatrix.from_text(f"0 {n} 101\n")
+    empty = DenseMatrix(PrimeField(101), np.zeros((0, 7)))
+    assert empty.to_text() == "0 7 101\n"
+    assert DenseMatrix.from_text(empty.to_text()) == empty
+
+
 def test_opcounts_accumulate_and_copy():
     c = OpCounts(field_mul=2, field_add=1)
     d = dataclasses.replace(c)
@@ -342,6 +374,19 @@ def test_factor_file_roundtrip():
     assert parsed.p_perm == factors.p_perm and parsed.q_perm == factors.q_perm
     assert parsed.packed == factors.packed
     assert parsed.reconstruct() == original
+
+
+def test_check_structure_reports_each_problem():
+    healthy = pluq(mat([[2, 1], [4, 3]], 5))
+    assert healthy.rank == 2 and healthy.check_structure() == []
+
+    def factors(rank, packed):
+        return PluqFactors(Permutation.identity(2), Permutation.identity(2), rank, mat(packed, 5))
+
+    assert factors(3, [[1, 0], [0, 1]]).check_structure() == ["rank 3 out of range for 2x2"]
+    assert factors(2, [[1, 0], [0, 0]]).check_structure() == ["U has a zero diagonal entry"]
+    assert factors(1, [[1, 0], [0, 4]]).check_structure() == [
+        "trailing block below/right of the factors is not zero"]
 
 
 def test_factor_file_rejects_inconsistencies():

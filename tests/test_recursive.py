@@ -298,3 +298,47 @@ def test_one_stacked_leaf_inversion_per_node(monkeypatch):
     assert f.rank == 256 and f.reconstruct() == a
     assert len(nodes) == 15
     assert sorted(passes) == sorted(nodes)
+
+
+@pytest.mark.parametrize("make, threshold, deficient", [
+    (lambda: gen_full_rank_generic(128, 1009, seed=6), DEFAULT_THRESHOLD, False),
+    (lambda: gen_rank_deficient_rect(96, 80, 40, 1009, seed=2), 4, True),
+    (lambda: gen_rank_deficient_rect(64, 64, 32, 101, seed=3), 1, True),
+])
+def test_node_call_shape(monkeypatch, make, threshold, deficient):
+    # One call per operation on adjacent blocks: a node that splits makes 10
+    # gathers (each side slab that both middle children permute takes one)
+    # and 5 triangular solves (J and N share one left solve by L3).  A node
+    # that does not split makes neither.
+    rec = recursive._pluq_rec
+    open_calls, nodes = [], []  # per node: [children's ranks, gathers, solves]
+
+    def node(data, ctx):
+        open_calls.append([[], 0, 0])
+        rows, cols, r = rec(data, ctx)
+        nodes.append(open_calls.pop())
+        if open_calls:
+            open_calls[-1][0].append(r)
+        return rows, cols, r
+
+    def counted(fn, slot):
+        def wrapper(*args, **kwargs):
+            open_calls[-1][slot] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(recursive, "_pluq_rec", node)
+    for name in ("apply_rows", "apply_cols"):
+        monkeypatch.setattr(recursive, name, counted(getattr(recursive, name), 1))
+    for name in ("trsm_left_unit_lower", "trsm_right_upper"):
+        monkeypatch.setattr(ClassicalKernels, name, counted(getattr(ClassicalKernels, name), 2))
+    a = make()
+    ws = TrackingWorkspace()
+    f = pluq(a.copy(), threshold=threshold, workspace=ws)
+    assert f.reconstruct() == a and not f.check_structure()
+    split = [(gathers, solves) for ranks, gathers, solves in nodes if ranks]
+    assert split and set(split) == {(10, 5)}
+    assert all((gathers, solves) == (0, 0) for ranks, gathers, solves in nodes if not ranks)
+    if deficient:  # some node keeps a nonempty I aside while J and N are solved together
+        assert any(ranks[1] and ranks[2] for ranks, _, _ in nodes if ranks)
+        assert ws.max_scratch_block > 0 and ws.live_elements == 0
