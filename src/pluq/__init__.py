@@ -7,7 +7,6 @@ delayed-modular-reduction cost model.
 """
 
 from .field import PrimeField, inverse_mod, is_prime
-from .iterative import pluq_iterative
 from .kernels import ClassicalKernels
 from .leu import LeuFactors, check_triangular_extension, to_leu
 from .matgen import gen_full_rank_generic, gen_rank_deficient_rect
@@ -24,7 +23,7 @@ from .oracle import (
     row_rank_profile_naive,
 )
 from .rank_profile import col_rank_profile, leading_rank_profiles, row_rank_profile
-from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, pluq
+from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, pluq, pluq_iterative
 
 __version__ = "0.1.0"
 

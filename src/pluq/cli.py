@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from .iterative import pluq_iterative
 from .matgen import gen_full_rank_generic, gen_rank_deficient_rect
 from .matrix import DenseMatrix, OpCounts, PluqFactors
 from .oracle import (
@@ -24,7 +23,7 @@ from .oracle import (
     r_pluq_closed_form,
 )
 from .rank_profile import col_rank_profile, leading_rank_profiles, row_rank_profile
-from .recursive import DEFAULT_THRESHOLD, pluq
+from .recursive import DEFAULT_THRESHOLD, pluq, pluq_iterative
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -36,6 +35,14 @@ def _read_matrix(path: str) -> DenseMatrix:
         return DenseMatrix.from_text(fh.read())
 
 
+def _write(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _decompose(mat: DenseMatrix, algo: str, threshold: int, counts: OpCounts) -> PluqFactors:
     if algo == "iterative":
         return pluq_iterative(mat, counts)
@@ -44,13 +51,7 @@ def _decompose(mat: DenseMatrix, algo: str, threshold: int, counts: OpCounts) ->
 
 def cmd_decompose(args) -> int:
     mat = _read_matrix(args.matrix)
-    factors = _decompose(mat, args.algo, args.threshold, OpCounts())
-    text = factors.to_text()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write(args.out, _decompose(mat, args.algo, args.threshold, OpCounts()).to_text())
     return EXIT_OK
 
 
@@ -73,9 +74,8 @@ def cmd_verify(args) -> int:
 
 def cmd_rank_profile(args) -> int:
     mat = _read_matrix(args.matrix)
-    original = mat.copy() if args.oracle else None
+    oracle_table = LeadingProfileTable(mat) if args.oracle else None  # before mat is overwritten
     factors = _decompose(mat, args.algo, args.threshold, OpCounts())
-    oracle_table = LeadingProfileTable(original) if args.oracle else None
 
     def profiles_at(k: int, t: int):
         rows, cols = leading_rank_profiles(factors, k, t)
@@ -92,10 +92,7 @@ def cmd_rank_profile(args) -> int:
         ]
         payload = {"m": factors.m, "n": factors.n, "rank": factors.rank, "leading": table}
     elif args.leading is not None:
-        k, t = args.leading
-        if not (0 <= k <= factors.m and 0 <= t <= factors.n):
-            raise ValueError(f"leading block ({k},{t}) out of range")
-        payload = profiles_at(k, t)
+        payload = profiles_at(*args.leading)
     else:
         payload = {
             "rows": list(row_rank_profile(factors)),
@@ -116,8 +113,11 @@ def _generate(args, allow_wide=False) -> DenseMatrix:
             # leading minor nonzero
             return gen_full_rank_generic(args.n, args.p, args.seed).leading_submatrix(args.m, args.n)
         raise ValueError("generic profile inputs are square (m <= n allowed for ple)")
-    rank = args.rank if args.rank is not None else min(args.m, args.n) // 2
-    return gen_rank_deficient_rect(args.m, args.n, rank, args.p, args.seed)
+    return gen_rank_deficient_rect(args.m, args.n, _rank(args), args.p, args.seed)
+
+
+def _rank(args) -> int:
+    return args.rank if args.rank is not None else min(args.m, args.n) // 2
 
 
 def cmd_count(args) -> int:
@@ -153,7 +153,7 @@ BENCH_HEADER = "algo,m,n,rank,threshold,rep,seconds,field_mul,reductions"
 
 
 def cmd_bench(args) -> int:
-    rank = args.rank if args.rank is not None else min(args.m, args.n) // 2
+    rank = _rank(args)
     lines = [BENCH_HEADER]
     for rep in range(args.reps):
         mat = gen_rank_deficient_rect(args.m, args.n, rank, args.p, args.seed)
@@ -165,12 +165,7 @@ def cmd_bench(args) -> int:
             f"{args.algo},{args.m},{args.n},{rank},{args.threshold},{rep},"
             f"{seconds:.6f},{counts.field_mul},{counts.modular_reductions}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.csv == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
+    _write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -178,10 +173,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pluq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_algo(p, default_threshold=DEFAULT_THRESHOLD):
+    def add_algo(p):
         p.add_argument("--algo", choices=["recursive", "iterative"], default="recursive")
-        p.add_argument("--threshold", type=int, default=default_threshold,
+        p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
                        help="crossover to the iterative base case (recursive algo only)")
+
+    def add_generated(p):
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--rank", type=int, default=None, help="deficient inputs' rank (default min(m, n) // 2)")
+        p.add_argument("--p", type=int, default=1009)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("decompose", help="factor a matrix file into a factor file")
     p.add_argument("matrix")
@@ -204,22 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="operation counts on a generated matrix vs the model")
     p.add_argument("--algo", choices=["pluq", "ple"], default="pluq")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=1009)
-    p.add_argument("--seed", type=int, default=0)
+    add_generated(p)
     p.add_argument("--profile", choices=["generic", "deficient"], default="generic")
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--threshold", type=int, default=1,
                    help="recursion threshold; 1 matches the closed-form model")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bench", help="timed decomposition sweep, CSV output")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--p", type=int, default=1009)
-    p.add_argument("--seed", type=int, default=0)
+    add_generated(p)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--csv", default="-", help="output CSV path ('-' for stdout)")
     add_algo(p)

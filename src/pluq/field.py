@@ -46,6 +46,18 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def integral_array(values) -> np.ndarray:
+    """``values`` as a bool, integer or float array of finite integers, else ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":  # passes only if its entries, read again as plain numbers, do
+        arr = np.array(arr.tolist()).reshape(arr.shape)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f" and not (np.isfinite(arr).all() and np.all(arr == np.floor(arr))):
+        raise ValueError("entries must be integers")
+    return arr
+
+
 class PrimeField:
     """The field Z/pZ for a prime p < 2**31, stored as float64.
 
@@ -81,15 +93,10 @@ class PrimeField:
 
     def asarray(self, values) -> np.ndarray:
         """Validated canonical-residue array in this field's storage dtype."""
-        arr = np.asarray(values)
-        # NaN fails only the integrality test, +-inf only the range test
-        if arr.dtype.kind == "f" and np.any(arr != np.floor(arr)):
-            raise ValueError("entries must be integers")
+        arr = integral_array(values)
         if arr.size and (np.any(arr < 0) or np.any(arr >= self.p)):
             raise ValueError(f"entries must be canonical residues in [0, {self.p})")
-        if arr.dtype != self.dtype:
-            arr = arr.astype(self.dtype)
-        return arr
+        return arr.astype(self.dtype, copy=False)
 
     def reduce_mod(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x mod p into ``out`` (x when None), using x as scratch.

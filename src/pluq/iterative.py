@@ -19,18 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .field import inverse_mod
-from .kernels import ClassicalKernels
-from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors, _permute_inplace
+from .matrix import Permutation, _permute_inplace
 
 
-def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
-    """Decompose in place; returns factors sharing storage with ``a``."""
-    counts = counts if counts is not None else OpCounts()
-    rows, cols, rank = _decompose_inplace(a.data, ClassicalKernels(a.field), counts)
-    return PluqFactors(rows.inverse(), cols, rank, a)
-
-
-def _decompose_inplace(data: np.ndarray, kernels: ClassicalKernels, counts: OpCounts, trace=None):
+def _decompose_inplace(data: np.ndarray, ctx, trace=None):
+    """Decompose ``data`` in place with the recursion's ``_Ctx``: (rows, cols, rank)."""
+    kernels, counts = ctx.kernels, ctx.counts
     field = kernels.field
     m, n = data.shape
     rows = np.arange(m, dtype=np.int64)

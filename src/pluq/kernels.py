@@ -113,7 +113,7 @@ class ClassicalKernels:
         counts.field_mul += m * (r * (r + 1) // 2)
         counts.field_add += m * (r * (r - 1) // 2)
         if r == 1:
-            b.T[:] = self.field.matmul_mod(np.array([[inverse_mod(int(u[0, 0]), self.field.p)]]), b.T)
+            b[:] = self.field.mul_mod(b, np.float64(inverse_mod(int(u[0, 0]), self.field.p)))
         else:  # B U^-1 = (U^-T B^T)^T
             self._solve_lower(u.T, b.T, self.leaf_inverses(u=u)[1] if invs is None else invs)
 

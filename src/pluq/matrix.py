@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import PrimeField
+from .field import PrimeField, integral_array
 
 _DECIMAL_CHARS = b"0123456789 \t\r\n"
 
@@ -217,7 +217,7 @@ class Permutation:
     __slots__ = ("sigma",)
 
     def __init__(self, sigma):
-        arr = np.asarray(sigma, dtype=np.int64)
+        arr = integral_array(sigma).astype(np.int64, copy=False)
         if arr.ndim != 1:
             raise ValueError("permutation map must be 1-d")
         s = arr.shape[0]

@@ -80,7 +80,7 @@ def build_t_perm(r1: int, r2: int, r3: int, r4: int, k: int, n: int) -> Permutat
 
 @dataclass(frozen=True, slots=True)
 class _Ctx:
-    """What every recursion node shares: the crossover and the collaborators."""
+    """What every recursion node and its base case share: crossover and collaborators."""
 
     threshold: int
     counts: OpCounts
@@ -112,13 +112,18 @@ def pluq(
     return PluqFactors(rows.inverse(), cols, rank, a)
 
 
+def pluq_iterative(a: DenseMatrix, counts: OpCounts | None = None) -> PluqFactors:
+    """The iterative algorithm alone: ``pluq`` with a threshold no block exceeds."""
+    return pluq(a, threshold=max(1, min(a.shape)), counts=counts)
+
+
 def _pluq_rec(data, ctx):
     # returns gather orders, as the base case does: packed = data[rows][:, cols]
     m, n = data.shape
     if not data.any():  # empty or zero: rank 0, nothing moves, every kernel would charge 0
         return Permutation.identity(m), Permutation.identity(n), 0
     if min(m, n) <= ctx.threshold:
-        return _decompose_inplace(data, ctx.kernels, ctx.counts)
+        return _decompose_inplace(data, ctx)
     counts, kernels = ctx.counts, ctx.kernels
 
     kr, kc = m // 2, n // 2

@@ -264,3 +264,21 @@ def test_asarray_rejects_noncanonical(f5):
         with pytest.raises(ValueError):
             PrimeField(2**31 - 1).asarray([[1.0, bad]])  # at the widest modulus too
     assert f5.asarray([[4.0, 0.0]]).tolist() == [[4, 0]]
+
+
+def test_asarray_accepts_only_integral_numbers(f5):
+    # every dtype, object arrays included: fractions, complex values and text
+    # are refused, not truncated, dropped with a warning, or left to numpy
+    for bad in (
+        np.array([[1.5, 2]], dtype=object),
+        [[3 + 1j]],
+        [[3 + 0j]],
+        [["1"]],
+        np.array([["1"]], dtype=object),
+        [[None]],
+    ):
+        with pytest.raises(ValueError):
+            f5.asarray(bad)
+    for good in (np.array([[True, False]]), np.array([[1, 4.0]], dtype=object), np.array([[3]], dtype=np.uint8)):
+        arr = f5.asarray(good)
+        assert arr.dtype == np.float64 and arr.tolist() == np.asarray(good).astype(int).tolist()

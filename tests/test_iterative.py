@@ -17,7 +17,13 @@ from pluq import (
 )
 from pluq.field import inverse_mod
 from pluq.iterative import _decompose_inplace
+from pluq.recursive import TrackingWorkspace, _Ctx
 from conftest import is_identity, mat, random_matrix
+
+
+def _ctx(kernels, counts):
+    """The context the recursion hands its base case (the threshold is unused there)."""
+    return _Ctx(threshold=1, counts=counts, kernels=kernels, ws=TrackingWorkspace())
 
 
 def test_zero_matrix():
@@ -66,7 +72,7 @@ def test_frontier_monotonicity():
         m, n = (int(x) for x in rng.integers(0, 9, 2))
         a = random_matrix(rng, m, n, 3)
         trace = []
-        _decompose_inplace(a.data, ClassicalKernels(a.field), OpCounts(), trace=trace)
+        _decompose_inplace(a.data, _ctx(ClassicalKernels(a.field), OpCounts()), trace=trace)
         last_i = last_j = 0
         for i, j, r in trace:
             assert last_i <= i <= m and last_j <= j <= n
@@ -204,7 +210,7 @@ def test_frontier_jump_matches_stepwise_reference(a):
     ref_data, ref_counts, ref_trace = a.data.copy(), OpCounts(), []
     ref_rows, ref_cols, ref_rank = _decompose_stepwise(ref_data, kernels, ref_counts, ref_trace)
     counts, trace = OpCounts(), _BoundedTrace(a.m + a.n)
-    rows, cols, rank = _decompose_inplace(a.data, kernels, counts, trace=trace)
+    rows, cols, rank = _decompose_inplace(a.data, _ctx(kernels, counts), trace=trace)
     assert np.array_equal(rows.sigma, ref_rows) and np.array_equal(cols.sigma, ref_cols)
     assert rank == ref_rank
     assert np.array_equal(a.data, ref_data)

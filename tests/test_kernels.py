@@ -125,6 +125,20 @@ def test_trsm_right_upper_scalar():
     assert b == mat([[3]], 5)  # inv(2) = 3
 
 
+def test_one_row_right_solve_scales_without_a_product(monkeypatch):
+    # B U^-1 with U = [u] scales B by u's inverse, as the base case scales a
+    # pivot column: while (p-1)^2 fits the mantissa no matmul_mod runs
+    calls = []
+    matmul = PrimeField.matmul_mod
+    monkeypatch.setattr(PrimeField, "matmul_mod", lambda self, a, b: calls.append(a.shape) or matmul(self, a, b))
+    host = np.array([[5.0, 1.0], [0.0, 1.0], [1008.0, 1.0]])
+    counts = OpCounts()
+    ClassicalKernels(PrimeField(1009)).trsm_right_upper(host[:, :1], np.array([[2.0]]), counts)
+    assert calls == []
+    assert host.tolist() == [[5 * 505 % 1009, 1], [0, 1], [1008 * 505 % 1009, 1]]  # inv(2) = 505
+    assert counts == OpCounts(field_mul=3, field_inv=1, modular_reductions=6)
+
+
 def test_trsm_right_upper_identity_noop():
     field = PrimeField(7)
     kern = ClassicalKernels(field)

@@ -33,6 +33,14 @@ def test_identity_and_transposition_examples():
     assert not is_identity(Permutation([0, 2, 1]))
 
 
+def test_permutation_map_must_be_integral():
+    # the integrality rule of PrimeField.asarray: no truncation, no text
+    for bad in ([0.7, 1.2], ["1", "0"], np.array([1, 0]).astype(str), [np.nan, 0.0], [np.inf, 0.0], [1 + 0j, 0]):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    assert Permutation(np.array([1.0, 0.0])) == Permutation(np.array([1, 0], dtype=object)) == Permutation([1, 0])
+
+
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
