@@ -1,20 +1,20 @@
 """Block update kernels: multiply-accumulate and the two triangular solves.
 
 All three are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
-place), and the two solves share one recursive solver, ``_solve_lower``
-(B <- L^-1 B, split at multiples of 32 rows into leaves of at most 32, each
-applied with one product).  ``leaf_inverses`` inverts every leaf of a node's
-triangles in one stacked pass, and every solve with one of those factors takes
-its stack (a solve given none forms its own).  B U^-1 is (U^-T B^T)^T on
-transposed views.  The block update reduces its contiguous product panel
-with ``PrimeField.reduce_mod`` and writes C once per panel.
+place), and the two solves share one left-looking solver, ``_solve_lower``
+(B <- L^-1 B over leaves of 32 rows: each takes one block update from the
+rows above it, then applies its inverted diagonal block with one product).
+``leaf_inverses`` inverts every leaf of a node's triangles in one stacked
+pass, and every solve with one of those factors takes its stack (a solve
+given none forms its own).  B U^-1 is (U^-T B^T)^T on transposed views.  The
+block update reduces its contiguous product panel with
+``PrimeField.reduce_mod`` and writes C once per panel.
 
 Each kernel charges the OpCounts it is handed at its public entry point,
-whatever reductions the update, the splitting and the leaves perform
-internally.  Field operations are charged in the paper's unit: one
-multiply-accumulate is one ``field_mul`` plus one ``field_add``, a scaling by
-an inverted diagonal entry is one ``field_mul``, and each pivot inversion is
-one ``field_inv``;
+whatever reductions the updates and the leaves perform internally.  Field
+operations are charged in the paper's unit: one multiply-accumulate is one
+``field_mul`` plus one ``field_add``, a scaling by an inverted diagonal entry
+is one ``field_mul``, and each pivot inversion is one ``field_inv``;
 ``OpCounts.total_field_ops()`` is the paper's "field operations".  Modular
 reductions follow the delayed-reduction model:
 
@@ -118,21 +118,16 @@ class ClassicalKernels:
             self._solve_lower(u.T, b.T, self.leaf_inverses(u=u)[1] if invs is None else invs)
 
     def _solve_lower(self, l: np.ndarray, b: np.ndarray, invs: np.ndarray) -> None:
-        """B <- L^-1 B in place, L lower triangular with leaf stack ``invs``;
-        charges nothing.
+        """B <- L^-1 B in place, L lower triangular with leaf stack ``invs``; charges nothing.
 
-        Splits at a multiple of _PANEL_ROWS until one leaf is left, so leaf i
-        holds rows [32 i, 32 i + 32) and applies ``invs[i]`` with one product
-        (at most 32 x n): its scratch stays inside the kernels' panel bound.
-        """
-        r = l.shape[0]
-        if r <= _PANEL_ROWS:
-            b[:] = self.field.matmul_mod(invs[0][:r, :r], b)
-            return
-        h = _PANEL_ROWS * -(-r // (2 * _PANEL_ROWS))
-        self._solve_lower(l[:h, :h], b[:h], invs)
-        self._sub_mul(b[h:], l[h:, :h], b[:h])
-        self._solve_lower(l[h:, h:], b[h:], invs[h // _PANEL_ROWS :])
+        Left-looking: leaf i, rows [32 i, 32 i + 32) of B, takes one update from
+        the rows above it, then ``invs[i]`` (the last sliced to size) in one
+        product, so each step's scratch is one 32-row panel."""
+        for i, lo in enumerate(range(0, l.shape[0], _PANEL_ROWS)):
+            leaf = b[lo : lo + _PANEL_ROWS]
+            if lo:
+                self._sub_mul(leaf, l[lo : lo + _PANEL_ROWS, :lo], b[:lo])
+            leaf[:] = self.field.matmul_mod(invs[i][: len(leaf), : len(leaf)], leaf)
 
     def leaf_inverses(self, l: np.ndarray | None = None, u: np.ndarray | None = None):
         """(L's stack, U's stack): the inverted 32-row diagonal blocks of L (unit

@@ -87,7 +87,7 @@ def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
     lbar = _conjugated_lower(factors, np.eye(m - r, dtype=field.dtype))
     ubar = _conjugated_upper(factors, np.zeros((n - r, n - r), dtype=field.dtype))
     e = np.zeros((m, n), dtype=field.dtype)
-    rows, cols = factors._support_arrays
+    rows, cols = factors.supports
     e[rows, cols] = 1
 
     if not _is_unit_lower(lbar):
@@ -99,4 +99,4 @@ def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
     if not np.array_equal(product, original.data):
         raise RuntimeError("LEU integrity failure: Lbar E Ubar != A")
 
-    return LeuFactors(DenseMatrix(field, lbar), DenseMatrix(field, e), DenseMatrix(field, ubar))
+    return LeuFactors(*(DenseMatrix._unchecked(field, x) for x in (lbar, e, ubar)))

@@ -47,7 +47,7 @@ def gen_full_rank_generic(n: int, p: int, seed: int) -> DenseMatrix:
     l = _random_unit_lower(rng, n, p)
     u = _random_nonsingular_upper(rng, n, p)
     data = field.matmul_mod(field.asarray(l), field.asarray(u))
-    return DenseMatrix(field, data)
+    return DenseMatrix._unchecked(field, data)
 
 
 def gen_rank_deficient_rect(m: int, n: int, r: int, p: int, seed: int) -> DenseMatrix:
@@ -69,5 +69,5 @@ def gen_rank_deficient_rect(m: int, n: int, r: int, p: int, seed: int) -> DenseM
         cols = rng.choice(n, size=r, replace=False)
         e[rows, cols] = 1
     data = field.matmul_mod(field.matmul_mod(field.asarray(l), field.asarray(e)), field.asarray(u))
-    return DenseMatrix(field, data)
+    return DenseMatrix._unchecked(field, data)
 

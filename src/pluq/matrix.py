@@ -143,6 +143,13 @@ class DenseMatrix:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         self.data = arr
 
+    @classmethod
+    def _unchecked(cls, field: PrimeField, data: np.ndarray) -> "DenseMatrix":
+        """Wrap canonical float64 residues the package made; ``__init__`` checks outside data."""
+        mat = object.__new__(cls)
+        mat.field, mat.data = field, data
+        return mat
+
     # -- basics -----------------------------------------------------------
 
     @property
@@ -162,7 +169,7 @@ class DenseMatrix:
         return self.field.p
 
     def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.data.copy())
+        return DenseMatrix._unchecked(self.field, self.data.copy())
 
     def __eq__(self, other) -> bool:
         return (
@@ -179,7 +186,7 @@ class DenseMatrix:
         """Copy of the leading k x t block (oracle-side use)."""
         if not (0 <= k <= self.m and 0 <= t <= self.n):
             raise ValueError(f"leading block ({k},{t}) out of range for {self.m}x{self.n}")
-        return DenseMatrix(self.field, self.data[:k, :t].copy())
+        return DenseMatrix._unchecked(self.field, self.data[:k, :t].copy())
 
     # -- text format --------------------------------------------------------
     # Line 1: "m n p"; then m lines of n residues in [0, p).
@@ -348,15 +355,10 @@ class PluqFactors:
         uv[:, :r] = np.triu(uv[:, :r])
         return uv
 
-    def support_pairs(self) -> list[tuple[int, int]]:
-        """Pivot supports (a_t, b_t): E = Mat(P) [I_r; 0] Mat(Q) has 1 at (a_t, b_t)."""
-        rows, cols = self._support_arrays
-        return list(zip(rows.tolist(), cols.tolist()))
-
     @cached_property
-    def _support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The a_t and the b_t of ``support_pairs`` as two int64 arrays,
-        formed on first use; the permutations are not to change after that."""
+    def supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pivot supports (a_t, b_t), two int64 arrays: E = Mat(P) [I_r; 0] Mat(Q) has 1
+        at (a_t, b_t).  Formed on first use; the permutations must not change after."""
         r = self.rank
         return _inverse_map(self.p_perm.sigma)[:r], self.q_perm.sigma[:r]
 
@@ -367,7 +369,7 @@ class PluqFactors:
         # rows: Mat(P) @ X gathers old row sigma(i); cols: X @ Mat(Q) gathers sigma^-1.
         prod = prod[self.p_perm.sigma, :]
         prod = prod[:, _inverse_map(self.q_perm.sigma)]
-        return DenseMatrix(field, prod)
+        return DenseMatrix._unchecked(field, prod)
 
     def check_structure(self) -> list[str]:
         """List of violated packed-layout invariants (empty when healthy)."""

@@ -22,18 +22,18 @@ def _sorted(indices: np.ndarray) -> RankProfile:
 
 def row_rank_profile(factors: PluqFactors) -> RankProfile:
     """Sorted row indices of the pivots: the matrix's row rank profile."""
-    return _sorted(factors._support_arrays[0])
+    return _sorted(factors.supports[0])
 
 
 def col_rank_profile(factors: PluqFactors) -> RankProfile:
     """Sorted column indices of the pivots: the matrix's column rank profile."""
-    return _sorted(factors._support_arrays[1])
+    return _sorted(factors.supports[1])
 
 
 def leading_rank_profiles(factors: PluqFactors, k: int, t: int) -> tuple[RankProfile, RankProfile]:
     """Row and column rank profiles of the leading k x t submatrix."""
     if not (0 <= k <= factors.m and 0 <= t <= factors.n):
         raise ValueError(f"leading block ({k},{t}) out of range for {factors.m}x{factors.n}")
-    rows, cols = factors._support_arrays
+    rows, cols = factors.supports
     inside = (rows < k) & (cols < t)
     return _sorted(rows[inside]), _sorted(cols[inside])

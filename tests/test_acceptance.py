@@ -261,7 +261,7 @@ def test_criterion_09_algorithm_agreement(fixture_set, fixture_32):
         for tag in ("rec_t30", "iterative"):
             other = variants[tag]
             total += 1
-            if base.rank != other.rank or sorted(base.support_pairs()) != sorted(other.support_pairs()):
+            if base.rank != other.rank or sorted(zip(*base.supports)) != sorted(zip(*other.supports)):
                 disagreements += 1
             if (
                 base.p_perm == other.p_perm

@@ -244,8 +244,8 @@ def test_block_update_into_strided_and_transposed_views(p, monkeypatch):
             c[:] = cells
             assert np.array_equal(host, before), k  # nothing outside C moved
         # B U^-1 with r = 64 at k = bound and r = 128 at k = bound + 1: the
-        # solve splits at h = 32 ceil(r / 64), so its top-level update has inner
-        # dimension r / 2, 32 (fused at bound = 35) and 64 (limb-split).  At the
+        # solve's 32-row leaf i takes one update of inner dimension 32 i, so
+        # r = 128 has 32 (fused at bound = 35), 64 and 96 (limb-split).  At the
         # two primes whose bound is below 32, every update of a solve is
         # limb-split.
         r = 2 * _PANEL_ROWS * (1 if k == bound else 2)
@@ -255,7 +255,7 @@ def test_block_update_into_strided_and_transposed_views(p, monkeypatch):
             before, cells = host.copy(), bm.copy()
             updates.clear()
             kern.trsm_right_upper(bm, u, OpCounts())
-            assert max(updates) == r // 2, k
+            assert updates == list(range(_PANEL_ROWS, r, _PANEL_ROWS)), k
             assert np.array_equal((_ints(bm) @ _ints(u)) % p, _ints(cells)), k
             bm[:] = cells
             assert np.array_equal(host, before), k
@@ -272,13 +272,13 @@ def _forward_substitution(l, b, p, unit):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_solves_across_the_leaf_boundary(p):
-    # The solver splits at multiples of 32 rows into leaves of at most 32,
-    # each inverted whole in a stack with identity padding, and a block of
-    # more than 16 rows as two joined halves: sizes on both sides of 16 rows
-    # and of one, two and three leaves, for B as a slice of a larger matrix
-    # and as a transposed view.  L and U share one packed block, so each solve
-    # and the stacked pass must ignore the other triangle.  A solve given the
-    # stacks of one shared pass must match one that forms its own.
+    # The solver walks leaves of 32 rows, the last of at most 32, each
+    # inverted whole in a stack with identity padding, and a block of more
+    # than 16 rows as two joined halves: sizes on both sides of 16 rows and of
+    # one, two and three leaves, for B as a slice of a larger matrix and as a
+    # transposed view.  L and U share one packed block, so each solve and the
+    # stacked pass must ignore the other triangle.  A solve given the stacks
+    # of one shared pass must match one that forms its own.
     rng = np.random.default_rng(p + 14)
     field = PrimeField(p)
     kern = ClassicalKernels(field)
@@ -307,33 +307,55 @@ def test_solves_across_the_leaf_boundary(p):
                 assert np.array_equal(shared, b), (r, n)
                 b[:] = cells
                 assert np.array_equal(host, before), (r, n)
+    # A node's (l3, u2) share one pass though r3 != r2: the smaller triangle's
+    # one leaf is padded to the larger's 32-row blocks and sliced back.
+    for rl, ru in ((10, 40), (40, 10)):
+        l = rng.integers(0, p, (rl, rl)).astype(field.dtype)
+        u = np.triu(rng.integers(0, p, (ru, ru))).astype(field.dtype)
+        u[np.arange(ru), np.arange(ru)] = rng.integers(1, p, ru)
+        l_invs, u_invs = kern.leaf_inverses(l, u)
+        for b, _ in _views(rng, p, rl, 40):
+            cells = b.copy()
+            kern.trsm_left_unit_lower(l, b, OpCounts(), l_invs)
+            assert np.array_equal(_ints(b), _forward_substitution(l, cells, p, True)), (rl, ru)
+        for b, _ in _views(rng, p, 40, ru):
+            cells = b.copy()
+            kern.trsm_right_upper(b, u, OpCounts(), u_invs)
+            assert np.array_equal(_ints(b), _forward_substitution(u.T, cells.T, p, False).T), (rl, ru)
 
 
 def test_solver_call_count_with_32_row_leaves(monkeypatch):
-    # The solver splits r rows at h = 32 ceil(r / 64).  r = 512 splits four
-    # times into 16 leaves of 32 rows: 31 solver calls for each solve, where
-    # halving down to single rows would make 1023.  r = 100 splits into
-    # 64 + 36, then 32 + 32 and 32 + 4: 7 calls, leaves of 32, 32, 32 and 4
-    # (halving at r // 2 would make four of 25).  A solve given no stack forms
-    # it in one pass.
-    calls, passes = [], []
-    solve, inverses = ClassicalKernels._solve_lower, ClassicalKernels.leaf_inverses
+    # One solver call walks the 32-row leaves: leaf i > 0 takes one update
+    # from the rows above it, and every leaf applies its inverse with one
+    # product.  r = 512 makes 15 updates and 16 leaf products of 32 rows,
+    # where halving down to single rows would make 1023 solver calls; r = 100
+    # makes 3 updates and leaves of 32, 32, 32 and 4 (halving at r // 2 would
+    # make four of 25).  A solve given no stack forms it in one pass.
+    calls, updates, leaves, passes = [], [], [], []
+    solve, sub_mul = ClassicalKernels._solve_lower, ClassicalKernels._sub_mul
+    inverses, matmul_mod = ClassicalKernels.leaf_inverses, PrimeField.matmul_mod
     monkeypatch.setattr(ClassicalKernels, "_solve_lower",
                         lambda self, l, b, invs: calls.append(l.shape[0]) or solve(self, l, b, invs))
+    monkeypatch.setattr(ClassicalKernels, "_sub_mul",
+                        lambda self, c, a, b: updates.append(c.shape[0]) or sub_mul(self, c, a, b))
     monkeypatch.setattr(ClassicalKernels, "leaf_inverses",
                         lambda self, l=None, u=None: passes.append(1) or inverses(self, l, u))
+    # the stacked pass multiplies 3-d stacks; a leaf product is the one 2-d call
+    monkeypatch.setattr(PrimeField, "matmul_mod",
+                        lambda self, a, b: (a.ndim == 2 and leaves.append(a.shape[0])) or matmul_mod(self, a, b))
     field = PrimeField(1009)
     kern = ClassicalKernels(field)
-    for r, n_calls, leaves in ((512, 31, [32] * 16), (100, 7, [32, 32, 32, 4])):
+    for r, sizes in ((512, [32] * 16), (100, [32, 32, 32, 4])):
         u = np.triu(np.ones((r, r), field.dtype))
         for solve_once in (
             lambda: kern.trsm_left_unit_lower(u.T.copy(), np.ones((r, 3), field.dtype), OpCounts()),
             lambda: kern.trsm_right_upper(np.ones((3, r), field.dtype), u, OpCounts()),
         ):
-            calls.clear()
-            passes.clear()
+            for log in (calls, updates, leaves, passes):
+                log.clear()
             solve_once()
-            assert len(calls) == n_calls and [c for c in calls if c <= _PANEL_ROWS] == leaves, r
+            assert calls == [r] and leaves == sizes, r
+            assert updates == sizes[1:] and len(updates) == -(-r // _PANEL_ROWS) - 1, r
             assert len(passes) == 1, r
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pluq import DenseMatrix, OpCounts, Permutation, PluqFactors, PrimeField, pluq
+from pluq import DenseMatrix, OpCounts, Permutation, PluqFactors, PrimeField, gen_rank_deficient_rect, pluq, to_leu
 from pluq.matrix import _PANEL_ROWS, apply_cols, apply_rows, perm_block_diag
 from conftest import is_identity, mat, random_matrix, to_matrix
 from test_moduli import PRIMES
@@ -259,6 +259,26 @@ def test_zero_dimensions_are_valid():
     b = DenseMatrix(field, np.zeros((0, 4)))
     prod = field.matmul_mod(a.data, b.data)
     assert prod.shape == (3, 4) and not prod.any()
+
+
+def test_package_made_matrices_skip_validation(monkeypatch):
+    # copy(), leading_submatrix(), reconstruct() and to_leu's three results wrap
+    # canonical float64 storage the package made, with no asarray pass over it;
+    # the constructor still validates outside data.
+    a = gen_rank_deficient_rect(12, 10, 5, 101, seed=3)
+    factors = pluq(a.copy())
+    calls = []
+    asarray = PrimeField.asarray
+    monkeypatch.setattr(PrimeField, "asarray", lambda self, values: calls.append(1) or asarray(self, values))
+    copied, lead, rebuilt = a.copy(), a.leading_submatrix(4, 3), factors.reconstruct()
+    leu = to_leu(factors, a)
+    assert not calls
+    assert copied == a and copied.data is not a.data and rebuilt == a
+    assert lead == DenseMatrix(a.field, a.data[:4, :3]) and not np.shares_memory(lead.data, a.data)
+    lower, e, upper = (x.data for x in (leu.lbar, leu.e, leu.ubar))
+    assert np.array_equal(a.field.matmul_mod(a.field.matmul_mod(lower, e), upper), a.data)
+    with pytest.raises(ValueError):
+        DenseMatrix(PrimeField(7), [[1.5]])
 
 
 def test_leading_submatrix():

@@ -79,7 +79,7 @@ def test_recursive_and_iterative_profiles_coincide():
         fr = pluq(a.copy(), threshold=2)
         fi = pluq_iterative(a.copy())
         assert fr.rank == fi.rank
-        assert sorted(fr.support_pairs()) == sorted(fi.support_pairs())
+        assert sorted(zip(*fr.supports)) == sorted(zip(*fi.supports))
 
 
 def test_supports_are_formed_once_per_factors(monkeypatch):

@@ -180,7 +180,7 @@ def test_threshold_transparency():
         f1 = pluq(a.copy(), threshold=1)
         f30 = pluq(a.copy(), threshold=30)
         assert f1.rank == f30.rank
-        assert sorted(f1.support_pairs()) == sorted(f30.support_pairs())
+        assert sorted(zip(*f1.supports)) == sorted(zip(*f30.supports))
 
 
 def test_threshold_must_be_positive():
