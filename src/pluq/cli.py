@@ -122,18 +122,18 @@ def _rank(args) -> int:
 
 def cmd_count(args) -> int:
     mat = _generate(args, allow_wide=args.algo == "ple")
+    predicted = None  # first, so that a size the model rejects costs no decomposition
+    if args.profile == "generic":
+        if args.algo == "pluq":
+            predicted = r_pluq_closed_form(args.m)
+        else:
+            predicted = r_ple_recurrence(args.m, args.n)
     counts = OpCounts()
     if args.algo == "pluq":
         # threshold 1 keeps the pure quadrant recursion the closed form describes
         pluq(mat, threshold=args.threshold, counts=counts)
     else:
         ple_row_major(mat, counts)
-    predicted = None
-    if args.profile == "generic":
-        if args.algo == "pluq":
-            predicted = r_pluq_closed_form(args.m)
-        else:
-            predicted = r_ple_recurrence(args.m, args.n)
     payload = {
         "algo": args.algo,
         "m": args.m,

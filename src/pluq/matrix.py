@@ -131,7 +131,9 @@ class DenseMatrix:
 
     Zero dimensions are legal; an m x 0 by 0 x n product is the m x n zero
     matrix.  After a decomposition the same storage holds the packed factor
-    layout [L\\U, V; M, 0].
+    layout [L\\U, V; M, 0].  A float64 array passed as ``data`` is that
+    storage, shared and not copied, so ``pluq()`` overwrites the caller's
+    array; any other dtype or a nested list is converted into a new array.
     """
 
     __slots__ = ("field", "data")

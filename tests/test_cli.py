@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pluq import gen_rank_deficient_rect
+from pluq import cli
 from pluq.cli import main
 from conftest import mat
 
@@ -147,8 +148,14 @@ def test_count_ple_single_row(tmp_path, capsys):
     assert payload["delta"] == 0
 
 
-def test_count_rejects_non_power_of_two_generic(capsys):
+def test_count_rejects_non_power_of_two_generic(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("decomposed a size the model rejects")
+
+    monkeypatch.setattr(cli, "pluq", must_not_run)
+    monkeypatch.setattr(cli, "ple_row_major", must_not_run)
     assert main(["count", "--algo", "pluq", "--m", "12", "--n", "12"]) == 2
+    assert main(["count", "--algo", "ple", "--m", "3", "--n", "8"]) == 2
 
 
 def test_count_rejects_rectangular_generic(capsys):

@@ -16,8 +16,7 @@ from pluq import (
     rank_naive,
 )
 from pluq.field import inverse_mod
-from pluq.iterative import _decompose_inplace
-from pluq.recursive import TrackingWorkspace, _Ctx
+from pluq.recursive import TrackingWorkspace, _Ctx, _decompose_inplace
 from conftest import is_identity, mat, random_matrix
 
 

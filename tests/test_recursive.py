@@ -188,6 +188,16 @@ def test_threshold_must_be_positive():
         pluq(mat([[1]], 5), threshold=0)
 
 
+def test_threshold_nan_is_rejected_and_non_integers_still_run():
+    a = gen_rank_deficient_rect(8, 8, 4, 1009, 0)
+    with pytest.raises(ValueError):
+        pluq(a.copy(), threshold=float("nan"))
+    for t, ref in ((2.5, pluq(a.copy(), threshold=2)), (float("inf"), pluq_iterative(a.copy()))):
+        f = pluq(a.copy(), threshold=t)
+        assert np.array_equal(f.packed.data, ref.packed.data)
+        assert f.p_perm == ref.p_perm and f.q_perm == ref.q_perm
+
+
 def test_determinism():
     a = random_matrix(np.random.default_rng(51), 13, 11, 101)
     runs = [pluq(a.copy(), threshold=2) for _ in range(2)]
