@@ -14,22 +14,13 @@ from .field import PrimeField
 from .matrix import DenseMatrix
 
 
-def _random_unit_lower(rng, n: int, p: int) -> np.ndarray:
-    l = np.tril(rng.integers(0, p, size=(n, n)), -1)
-    l[np.arange(n), np.arange(n)] = 1
-    return l
-
-
-def _random_nonsingular_lower(rng, n: int, p: int) -> np.ndarray:
-    l = np.tril(rng.integers(0, p, size=(n, n)), -1)
-    l[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
-    return l
-
-
-def _random_nonsingular_upper(rng, n: int, p: int) -> np.ndarray:
-    u = np.triu(rng.integers(0, p, size=(n, n)), 1)
-    u[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
-    return u
+def _random_triangular(rng, n: int, p: int, lower: bool, unit: bool = False) -> np.ndarray:
+    """n x n strictly triangular draw from [0, p), then a diagonal of ones if
+    `unit`, else one drawn from [1, p)."""
+    t = rng.integers(0, p, size=(n, n))
+    t = np.tril(t, -1) if lower else np.triu(t, 1)
+    t[np.diag_indices(n)] = 1 if unit else rng.integers(1, p, size=n)
+    return t
 
 
 def gen_full_rank_generic(n: int, p: int, seed: int) -> DenseMatrix:
@@ -44,8 +35,8 @@ def gen_full_rank_generic(n: int, p: int, seed: int) -> DenseMatrix:
         raise ValueError("dimension must be >= 1")
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
-    l = _random_unit_lower(rng, n, p)
-    u = _random_nonsingular_upper(rng, n, p)
+    l = _random_triangular(rng, n, p, lower=True, unit=True)
+    u = _random_triangular(rng, n, p, lower=False)
     data = field.matmul_mod(field.asarray(l), field.asarray(u))
     return DenseMatrix._unchecked(field, data)
 
@@ -53,21 +44,18 @@ def gen_full_rank_generic(n: int, p: int, seed: int) -> DenseMatrix:
 def gen_rank_deficient_rect(m: int, n: int, r: int, p: int, seed: int) -> DenseMatrix:
     """m x n matrix of rank exactly r with non-trivial rank profiles.
 
-    A = L @ E @ U with L, U random nonsingular triangular and E zero except
-    for r ones on a random partial permutation support (distinct rows and
-    distinct columns, which is what makes the rank exactly r).
+    A = L E U with L, U random nonsingular triangular and E zero except for r
+    ones at (rows[i], cols[i]), a random partial permutation support (distinct
+    rows and distinct columns, which is what makes the rank exactly r).  E is
+    never formed: A = L[:, rows] U[cols, :], one product of inner dimension r.
     """
     if not 0 <= r <= min(m, n):
         raise ValueError(f"rank {r} out of range for {m}x{n}")
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
-    l = _random_nonsingular_lower(rng, m, p)
-    u = _random_nonsingular_upper(rng, n, p)
-    e = np.zeros((m, n), dtype=np.int64)
-    if r:
-        rows = rng.choice(m, size=r, replace=False)
-        cols = rng.choice(n, size=r, replace=False)
-        e[rows, cols] = 1
-    data = field.matmul_mod(field.matmul_mod(field.asarray(l), field.asarray(e)), field.asarray(u))
+    l = _random_triangular(rng, m, p, lower=True)
+    u = _random_triangular(rng, n, p, lower=False)
+    rows = rng.choice(m, size=r, replace=False)
+    cols = rng.choice(n, size=r, replace=False)
+    data = field.matmul_mod(field.asarray(l[:, rows]), field.asarray(u[cols, :]))
     return DenseMatrix._unchecked(field, data)
-

@@ -128,44 +128,32 @@ def ple_row_major(a: DenseMatrix, counts: OpCounts | None = None) -> PleFactors:
         mid = lo + rows // 2
         before = len(pivots)
         rec(lo, mid, cols)
-        new = pivots[before:]
-        if new:
-            prows = np.array([r for r, _ in new])
-            pcols = np.array([c for _, c in new])
+        rest = cols
+        if len(pivots) > before:
+            prows, pcols = np.array(pivots[before:]).T
             upper = work[np.ix_(prows, pcols)]          # r1 x r1, upper in discovery order
-            solved = work[np.ix_(np.arange(mid, hi), pcols)]
+            solved = work[mid:hi, pcols]
             kernels.trsm_right_upper(solved, upper, counts)
-            work[np.ix_(np.arange(mid, hi), pcols)] = solved
+            work[mid:hi, pcols] = solved
             rest = cols[~np.isin(cols, pcols)]
             if rest.size:
-                block = work[np.ix_(np.arange(mid, hi), rest)]
+                block = work[mid:hi, rest]
                 kernels.mm_acc(block, solved, work[np.ix_(prows, rest)], counts)
-                work[np.ix_(np.arange(mid, hi), rest)] = block
-        else:
-            rest = cols
+                work[mid:hi, rest] = block
         rec(mid, hi, rest)
 
     rec(0, a.m, np.arange(a.n))
 
-    r = len(pivots)
-    prow_list = [row for row, _ in pivots]
-    pcol_list = [col for _, col in pivots]
-    echelon = np.zeros((r, a.n), dtype=field.dtype)
-    lower = np.zeros((a.m, r), dtype=field.dtype)
-    for t, (row, _) in enumerate(pivots):
-        echelon[t] = work[row]
-        echelon[t, pcol_list[:t]] = 0
-        lower[t, :t] = work[row, pcol_list[:t]]
-        lower[t, t] = 1
-    nonpivot_rows = [i for i in range(a.m) if i not in set(prow_list)]
-    for offset, row in enumerate(nonpivot_rows):
-        lower[r + offset, :] = work[row, pcol_list]
+    prows, pcols = np.array(pivots, dtype=np.int64).reshape(-1, 2).T
+    r = prows.size
+    order = np.concatenate([prows, np.setdiff1d(np.arange(a.m), prows)])  # pivot rows first
+    lower = np.tril(work[np.ix_(order, pcols)], -1)
+    lower[np.diag_indices(r)] = 1
+    echelon = work[prows]
+    echelon[:, pcols] = np.triu(echelon[:, pcols])
     sigma = np.empty(a.m, dtype=np.int64)
-    for t, row in enumerate(prow_list):
-        sigma[row] = t
-    for offset, row in enumerate(nonpivot_rows):
-        sigma[row] = r + offset
-    return PleFactors(Permutation(sigma), tuple(pcol_list), lower, echelon, r)
+    sigma[order] = np.arange(a.m)
+    return PleFactors(Permutation(sigma), tuple(pcols.tolist()), lower, echelon, r)
 
 
 # -- closed forms and recurrences for the reduction counts -------------------
