@@ -198,8 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank-profile", help="rank profiles of a matrix or leading blocks")
     p.add_argument("matrix")
-    p.add_argument("--leading", nargs=2, type=int, metavar=("K", "T"))
-    p.add_argument("--all-leading", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--leading", nargs=2, type=int, metavar=("K", "T"))
+    which.add_argument("--all-leading", action="store_true")
     p.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
     add_algo(p)
     p.set_defaults(func=cmd_rank_profile)

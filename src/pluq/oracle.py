@@ -147,7 +147,7 @@ def ple_row_major(a: DenseMatrix, counts: OpCounts | None = None) -> PleFactors:
     prows, pcols = np.array(pivots, dtype=np.int64).reshape(-1, 2).T
     r = prows.size
     order = np.concatenate([prows, np.setdiff1d(np.arange(a.m), prows)])  # pivot rows first
-    lower = np.tril(work[np.ix_(order, pcols)], -1)
+    lower = np.tril(work[np.ix_(order, pcols)], -1)   # rows past r lie wholly below the diagonal
     lower[np.diag_indices(r)] = 1
     echelon = work[prows]
     echelon[:, pcols] = np.triu(echelon[:, pcols])

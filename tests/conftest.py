@@ -28,6 +28,23 @@ def random_matrix(rng, m, n, p):
     return DenseMatrix(field, rng.integers(0, p, size=(m, n), dtype=np.int64))
 
 
+def leu_product(rng, m, n, p, support):
+    """(values, rows, cols): L E U multiplied exactly in Python integers,
+    independent of the package.  L and U are nonsingular lower and upper
+    triangular, drawn in that order; E has ones at (rows[i], cols[i]).
+    ``support`` is a rank r, for which r distinct rows and then r distinct
+    columns are drawn, or a given (rows, cols) pair."""
+    lower = np.tril(rng.integers(0, p, (m, m)), -1) + np.diag(rng.integers(1, p, m))
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
+    if isinstance(support, int):
+        rows = rng.choice(m, support, replace=False)
+        cols = rng.choice(n, support, replace=False)
+    else:
+        rows, cols = (np.asarray(s, dtype=np.int64) for s in support)
+    prod = (lower[:, rows].astype(object) @ upper[cols, :].astype(object)) % p
+    return prod.astype(np.int64).reshape(m, n), rows, cols
+
+
 def to_matrix(perm, field):
     """The explicit 0/1 matrix Mat(sigma), Mat(sigma)[i, sigma(i)] = 1: the
     reference for the package's permutation convention."""

@@ -117,6 +117,14 @@ def test_rank_profile_all_leading_with_oracle(tmp_path, capsys):
     assert first["k"] == 0 and first["rows"] == []
 
 
+def test_rank_profile_leading_and_all_leading_exclude_each_other(tmp_path, capsys):
+    src = write(tmp_path / "a.txt", gen_rank_deficient_rect(4, 4, 2, 7, seed=5))
+    with pytest.raises(SystemExit) as exc:
+        main(["rank-profile", src, "--leading", "1", "1", "--all-leading"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_rank_profile_whole_matrix_with_oracle(tmp_path, capsys):
     src = write(tmp_path / "a.txt", gen_rank_deficient_rect(6, 5, 3, 101, seed=4))
     assert main(["rank-profile", src, "--oracle"]) == 0

@@ -30,18 +30,7 @@ from pluq import (
     pluq,
     pluq_iterative,
 )
-
-
-def _leu_input(m, n, r, p, seed):
-    """L E U with L, U nonsingular triangular and E a rank-r partial permutation,
-    multiplied exactly in Python integers (independent of the package)."""
-    rng = np.random.default_rng(seed)
-    lower = np.tril(rng.integers(0, p, (m, m)), -1) + np.diag(rng.integers(1, p, m))
-    upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
-    rows = rng.choice(m, r, replace=False)
-    cols = rng.choice(n, r, replace=False)
-    prod = (lower[:, rows].astype(object) @ upper[cols, :].astype(object)) % p
-    return prod.astype(np.int64)
+from conftest import leu_product
 
 
 def _sha(arr):
@@ -61,7 +50,7 @@ CASES = [
 
 def _outputs(p, m, n, rank, seed, route):
     field = PrimeField(p)
-    a = DenseMatrix(field, _leu_input(m, n, rank, p, seed))
+    a = DenseMatrix(field, leu_product(np.random.default_rng(seed), m, n, p, rank)[0])
     counts = OpCounts()
     if route == "iterative":
         f = pluq_iterative(a, counts)

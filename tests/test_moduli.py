@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pluq import DEFAULT_THRESHOLD, DenseMatrix, PrimeField, leading_rank_profiles, pluq, pluq_iterative
 from pluq.oracle import LeadingProfileTable
+from conftest import leu_product
 
 PRIMES = [2, 3, 1009, 1048573, 67108859, 2**31 - 1]
 ROUTES = [
@@ -42,16 +43,11 @@ def shapes(draw):
 
 
 def _entries(rng, m, n, p, low_rank):
-    """A rank-deficient L E U product, multiplied in Python integers, or a
-    sparse matrix of 0, 1 and p - 1 (the largest residue)."""
+    """A rank-deficient L E U product or a sparse matrix of 0, 1 and p - 1
+    (the largest residue)."""
     if low_rank:
         r = int(rng.integers(0, min(m, n) + 1))
-        lower = np.tril(rng.integers(0, p, (m, m)), -1) + np.diag(rng.integers(1, p, m))
-        upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
-        rows = rng.choice(m, r, replace=False)
-        cols = rng.choice(n, r, replace=False)
-        prod = (lower[:, rows].astype(object) @ upper[cols, :].astype(object)) % p
-        return prod.astype(np.int64).reshape(m, n)
+        return leu_product(rng, m, n, p, r)[0]
     return rng.choice(np.array([0, 0, 0, 1, p - 1]), size=(m, n))
 
 
