@@ -111,8 +111,7 @@ def ple_row_major(a: DenseMatrix, counts: OpCounts | None = None) -> PleFactors:
     are about.
     """
     counts = counts if counts is not None else OpCounts()
-    field = a.field
-    kernels = ClassicalKernels(field)
+    kernels = ClassicalKernels(a.field)
     work = a.data.copy()
     pivots: list[tuple[int, int]] = []
 
