@@ -31,13 +31,12 @@ reductions follow the delayed-reduction model:
   for the scaling) and r ``field_inv``, per solve even where solves share a
   stack.
 
-The kernels are bundled in a strategy object so a sub-cubic multiplication
-could be slotted in behind the same interface; the classical kernels are the
-only shipped implementation.  Internal scratch stays bounded by a fixed row
-panel: 32 rows of a product, a leaf's 32-row product, or a triangle's leaf
-stack of about 32 * r elements, one 32-row panel of the r x r triangle, and a
-few temporaries of that size while it is formed (the decomposition itself
-allocates nothing through these calls).
+``pluq()`` builds one ``ClassicalKernels`` per decomposition.  Internal
+scratch stays bounded by a fixed row panel: 32 rows of a product, a leaf's
+32-row product, or a triangle's leaf stack of about 32 * r elements, one
+32-row panel of the r x r triangle, and a few temporaries of that size while
+it is formed (the decomposition itself allocates nothing through these
+calls).
 """
 
 from __future__ import annotations

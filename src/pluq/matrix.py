@@ -13,7 +13,7 @@ so every block operation of the decomposition runs in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,12 +118,7 @@ class OpCounts:
         return self.field_mul + self.field_add + self.field_inv
 
     def as_dict(self) -> dict:
-        return {
-            "field_mul": self.field_mul,
-            "field_add": self.field_add,
-            "field_inv": self.field_inv,
-            "modular_reductions": self.modular_reductions,
-        }
+        return asdict(self)
 
 
 class DenseMatrix:

@@ -94,7 +94,6 @@ def pluq(
     a: DenseMatrix,
     threshold: int = DEFAULT_THRESHOLD,
     counts: OpCounts | None = None,
-    kernels: ClassicalKernels | None = None,
     workspace: TrackingWorkspace | None = None,
 ) -> PluqFactors:
     """Full decomposition; ``a``'s storage is overwritten with the packed factors.
@@ -107,7 +106,7 @@ def pluq(
     ctx = _Ctx(
         threshold=threshold,
         counts=counts if counts is not None else OpCounts(),
-        kernels=kernels if kernels is not None else ClassicalKernels(a.field),
+        kernels=ClassicalKernels(a.field),
         ws=workspace if workspace is not None else TrackingWorkspace(),
     )
     rows, cols, rank = _pluq_rec(a.data, ctx)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pluq import DenseMatrix, PrimeField
+from pluq import DEFAULT_THRESHOLD, DenseMatrix, PrimeField
 
 
 @pytest.fixture
@@ -43,6 +43,14 @@ def leu_product(rng, m, n, p, support):
         rows, cols = (np.asarray(s, dtype=np.int64) for s in support)
     prod = (lower[:, rows].astype(object) @ upper[cols, :].astype(object)) % p
     return prod.astype(np.int64).reshape(m, n), rows, cols
+
+
+def split_side(levels):
+    """The smallest power of two n such that the recursion at
+    ``DEFAULT_THRESHOLD`` splits an n x n block and its halves at ``levels``
+    sizes: a block splits while min(m, n) > threshold (at 30, 128, 64 and 32
+    split and 16 does not, so split_side(3) is 128)."""
+    return 2 ** DEFAULT_THRESHOLD.bit_length() << (levels - 1)
 
 
 def to_matrix(perm, field):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pluq import (
+    DEFAULT_THRESHOLD,
     DenseMatrix,
     OpCounts,
     PrimeField,
@@ -300,4 +301,22 @@ def test_criterion_10_bench_pipeline_and_reduction_advantage(tmp_path, capsys):
         f"bench pipeline at n=2048 ran in {elapsed:.1f}s (budget 60s); "
         f"reduction counts quadrant vs row-major: {advantage}",
         bench_ok and elapsed < 60 and fewer,
+    )
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_criterion_10_companion_reduction_advantage_at_default_threshold(n):
+    # Criterion 10 holds the quadrant recursion at threshold 1; the default
+    # route hands blocks to the base case, whose rank-1 updates reduce the
+    # whole trailing block each, so a higher crossover can lose the advantage
+    # (at threshold 30: 144 640 against 196 352 at n=256, 2 151 424 against
+    # 3 668 992 at n=1024).
+    counts = OpCounts()
+    pluq(gen_full_rank_generic(n, P, seed=6), threshold=DEFAULT_THRESHOLD, counts=counts)
+    row_major = r_ple_recurrence(n, n)
+    _report(
+        10,
+        f"(companion) reductions at the default threshold {DEFAULT_THRESHOLD}, n={n}: "
+        f"{counts.modular_reductions} vs row-major {row_major}",
+        counts.modular_reductions < row_major,
     )

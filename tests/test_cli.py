@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pluq import gen_rank_deficient_rect
+from pluq import DEFAULT_THRESHOLD, gen_rank_deficient_rect
 from pluq import cli
 from pluq.cli import main
 from conftest import mat
@@ -191,7 +191,7 @@ def test_bench_to_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "algo,m,n,rank,threshold,rep,seconds,field_mul,reductions"
     assert [ln.split(",")[:6] for ln in lines[1:]] == [
-        ["recursive", "8", "8", "4", "30", str(rep)] for rep in range(2)]
+        ["recursive", "8", "8", "4", str(DEFAULT_THRESHOLD), str(rep)] for rep in range(2)]
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -21,7 +22,12 @@ from pluq import (
 from pluq import recursive
 from pluq.oracle import LeadingProfileTable
 from pluq.recursive import DEFAULT_THRESHOLD, build_s_perm, build_t_perm
-from conftest import is_identity, mat, random_matrix
+from conftest import is_identity, mat, random_matrix, split_side
+
+
+def test_pluq_takes_no_collaborators_but_counts_and_workspace():
+    # recursive.py alone decides how a decomposition runs: pluq builds its own kernels
+    assert list(inspect.signature(pluq).parameters) == ["a", "threshold", "counts", "workspace"]
 
 
 def test_zero_matrix():
@@ -280,7 +286,9 @@ def test_one_stacked_leaf_inversion_per_node(monkeypatch):
     # Every solve at a node takes the stacks of one shared pass.  On a generic
     # full-rank input each node has r2 = r3 = 0, so D and E share the pass
     # over L1 and U1: exactly one pass per node with r1 >= 2 (1 + 2 + 4 + 8
-    # nodes from 256 down to 32 rows), and no solve forms its own.
+    # nodes over four levels, from 256 down to 32 rows at threshold 30), and
+    # no solve forms its own.
+    levels = 4
     rec, inverses = recursive._pluq_rec, ClassicalKernels.leaf_inverses
     numbers, open_calls = itertools.count(), []  # (call number, its children's ranks)
     nodes, passes = [], []
@@ -303,15 +311,16 @@ def test_one_stacked_leaf_inversion_per_node(monkeypatch):
 
     monkeypatch.setattr(recursive, "_pluq_rec", node)
     monkeypatch.setattr(ClassicalKernels, "leaf_inverses", counting)
-    a = gen_full_rank_generic(256, 1009, seed=6)
+    side = split_side(levels)
+    a = gen_full_rank_generic(side, 1009, seed=6)
     f = pluq(a.copy(), threshold=DEFAULT_THRESHOLD)
-    assert f.rank == 256 and f.reconstruct() == a
-    assert len(nodes) == 15
+    assert f.rank == side and f.reconstruct() == a
+    assert len(nodes) == 2**levels - 1
     assert sorted(passes) == sorted(nodes)
 
 
 @pytest.mark.parametrize("make, threshold, deficient", [
-    (lambda: gen_full_rank_generic(128, 1009, seed=6), DEFAULT_THRESHOLD, False),
+    (lambda: gen_full_rank_generic(split_side(3), 1009, seed=6), DEFAULT_THRESHOLD, False),
     (lambda: gen_rank_deficient_rect(96, 80, 40, 1009, seed=2), 4, True),
     (lambda: gen_rank_deficient_rect(64, 64, 32, 101, seed=3), 1, True),
 ])

@@ -4,9 +4,10 @@ A = L E U with L, U nonsingular triangular and E a partial permutation has
 rank profile matrix E, and the pivoting of the decomposition makes
 ``f.supports`` reveal it.  Each input, drawn or built on an adversarial
 support, goes through the recursion at thresholds from 1 (quadrant recursion
-to single lines) to 128 (one split at most on the largest inputs); every run
-must reconstruct the input, keep the packed layout and return exactly the
-support of E.
+to single lines) to 128 (one split at most on the largest inputs), stored in
+C order, in Fortran order or as a strided view into a larger array; every
+run must reconstruct the input, keep the packed layout, return exactly the
+support of E and leave the view's host untouched outside the view.
 """
 
 import numpy as np
@@ -15,20 +16,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from pluq import DEFAULT_THRESHOLD, DenseMatrix, PrimeField, pluq
 from conftest import leu_product
-from test_moduli import PRIMES
+from test_moduli import PRIMES, _sentinels_kept, _stored
 
 THRESHOLDS = [1, 2, DEFAULT_THRESHOLD, 64, 128]
 SIDES = {"small": (1, 24), "mid": (25, 80), "deep": (129, 133)}  # deep: threshold 128 splits
+LAYOUTS = ["c", "fortran", "strided"]
 
 
-def _check_supports(values, rows, cols, p):
+def _check_supports(values, rows, cols, p, layout):
     field = PrimeField(p)
     original = DenseMatrix(field, values)
     for threshold in THRESHOLDS:
-        f = pluq(DenseMatrix(field, values), threshold=threshold)
+        data, host = _stored(values, layout)
+        f = pluq(DenseMatrix(field, data), threshold=threshold)
         assert sorted(zip(*f.supports)) == sorted(zip(rows, cols)), threshold
         assert f.reconstruct() == original, threshold
         assert f.check_structure() == [], threshold
+        assert host is None or _sentinels_kept(host), threshold
 
 
 @st.composite
@@ -39,18 +43,23 @@ def leu_shapes(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(p=st.sampled_from(PRIMES), shape=leu_shapes(), seed=st.integers(0, 2**32 - 1))
-# every prime at least once, past the crossover
-@example(p=2, shape=(131, 129, 129), seed=1)
-@example(p=3, shape=(70, 33, 20), seed=2)
-@example(p=1009, shape=(130, 132, 66), seed=3)
-@example(p=1048573, shape=(40, 75, 12), seed=4)
-@example(p=67108859, shape=(66, 66, 1), seed=5)
-@example(p=2**31 - 1, shape=(129, 130, 40), seed=6)
-def test_drawn_support_is_revealed_at_every_threshold(p, shape, seed):
+@given(
+    p=st.sampled_from(PRIMES),
+    shape=leu_shapes(),
+    layout=st.sampled_from(LAYOUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every prime and every layout at least once, past the crossover
+@example(p=2, shape=(131, 129, 129), layout="strided", seed=1)
+@example(p=3, shape=(70, 33, 20), layout="fortran", seed=2)
+@example(p=1009, shape=(130, 132, 66), layout="c", seed=3)
+@example(p=1048573, shape=(40, 75, 12), layout="strided", seed=4)
+@example(p=67108859, shape=(66, 66, 1), layout="fortran", seed=5)
+@example(p=2**31 - 1, shape=(129, 130, 40), layout="strided", seed=6)
+def test_drawn_support_is_revealed_at_every_threshold(p, shape, layout, seed):
     m, n, r = shape
     values, rows, cols = leu_product(np.random.default_rng(seed), m, n, p, r)
-    _check_supports(values, rows, cols, p)
+    _check_supports(values, rows, cols, p, layout)
 
 
 def _adversarial(m, n):
@@ -77,11 +86,13 @@ def _adversarial(m, n):
 
 ADVERSARIAL_SHAPES = [(71, 66, 2), (40, 75, 2**31 - 1), (133, 130, 1009)]  # (m, n, p)
 ADVERSARIAL = [(m, n, p, name) for m, n, p in ADVERSARIAL_SHAPES for name in _adversarial(m, n)]
+# the layouts in turn: 11 names per shape, so a name takes a different layout on each shape
+ADVERSARIAL = [(*case, LAYOUTS[i % len(LAYOUTS)]) for i, case in enumerate(ADVERSARIAL)]
 
 
 @pytest.mark.parametrize(
-    "m, n, p, name", ADVERSARIAL, ids=[f"{m}x{n}-{name}" for m, n, _, name in ADVERSARIAL]
+    "m, n, p, name, layout", ADVERSARIAL, ids=[f"{m}x{n}-{name}" for m, n, _, name, _ in ADVERSARIAL]
 )
-def test_adversarial_support_is_revealed_at_every_threshold(m, n, p, name):
+def test_adversarial_support_is_revealed_at_every_threshold(m, n, p, name, layout):
     values, rows, cols = leu_product(np.random.default_rng(m * n), m, n, p, _adversarial(m, n)[name])
-    _check_supports(values, rows, cols, p)
+    _check_supports(values, rows, cols, p, layout)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from pluq import DEFAULT_THRESHOLD, OpCounts, TrackingWorkspace, gen_rank_deficient_rect, pluq, recursive
+from conftest import split_side
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402  (perfbench is not a package)
@@ -24,12 +25,18 @@ def test_every_entry_point_exists():
         inspect.getattr_static(owner, attr)  # raises AttributeError when gone
 
 
+def _input(side):
+    """side x side of rank side // 2; split_side(2) is 64 at threshold 30."""
+    return gen_rank_deficient_rect(side, side, side // 2, 1009, seed=3)
+
+
 def test_traced_run_matches_untraced_and_records_spans():
-    plain = pluq(gen_rank_deficient_rect(64, 64, 32, 1009, seed=3))
+    side = split_side(2)
+    plain = pluq(_input(side))
     tracer = spans.Tracer()
     with tracer.patched():
-        traced = pluq(gen_rank_deficient_rect(64, 64, 32, 1009, seed=3))
-    assert traced.rank == plain.rank == 32
+        traced = pluq(_input(side))
+    assert traced.rank == plain.rank == side // 2
     assert traced.p_perm == plain.p_perm and traced.q_perm == plain.q_perm
     assert np.array_equal(traced.packed.data, plain.packed.data)
     assert "matrix.apply" in tracer.names
@@ -37,8 +44,10 @@ def test_traced_run_matches_untraced_and_records_spans():
     assert "kernels.trsm" in tracer.names
 
 
-@pytest.mark.parametrize("threshold", [1, DEFAULT_THRESHOLD])
-def test_applied_orders_are_not_rewritten(monkeypatch, threshold):
+# the threshold-1 case keeps a fixed side: its node count grows with the side squared
+@pytest.mark.parametrize("threshold, side", [(1, 128), (DEFAULT_THRESHOLD, split_side(3))],
+                         ids=["1", str(DEFAULT_THRESHOLD)])
+def test_applied_orders_are_not_rewritten(monkeypatch, threshold, side):
     # The tracer keeps every order passed to apply_rows/apply_cols and counts
     # the lines each one moved after the run, so a node that composes its
     # orders by writing into a child's order would skew matrix.lines_moved.
@@ -48,7 +57,7 @@ def test_applied_orders_are_not_rewritten(monkeypatch, threshold):
             kept.append((perm.sigma, perm.sigma.copy()))
             apply(a, perm)
         monkeypatch.setattr(recursive, name, keeping)
-    pluq(gen_rank_deficient_rect(128, 128, 64, 1009, seed=3), threshold=threshold)
+    pluq(_input(side), threshold=threshold)
     assert kept
     assert all(np.array_equal(order, copy) for order, copy in kept)
 
@@ -56,7 +65,7 @@ def test_applied_orders_are_not_rewritten(monkeypatch, threshold):
 def test_workspace_totals_read_by_the_benchmark():
     # perfbench's model_counts runs pluq this way and records both totals
     ws = TrackingWorkspace()
-    pluq(gen_rank_deficient_rect(64, 64, 32, 1009, seed=3), counts=OpCounts(), workspace=ws)
+    pluq(_input(split_side(2)), counts=OpCounts(), workspace=ws)
     assert type(ws.peak_elements) is int and type(ws.max_scratch_block) is int
     assert ws.peak_elements == ws.max_scratch_block > 0
     assert ws.live_elements == 0
