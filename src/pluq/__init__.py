@@ -7,7 +7,6 @@ delayed-modular-reduction cost model.
 """
 
 from .field import PrimeField, inverse_mod, is_prime
-from .kernels import ClassicalKernels
 from .leu import LeuFactors, check_triangular_extension, to_leu
 from .matgen import gen_full_rank_generic, gen_rank_deficient_rect
 from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
@@ -28,7 +27,6 @@ from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, pluq, pluq_iterativ
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalKernels",
     "DenseMatrix",
     "DEFAULT_THRESHOLD",
     "LeadingProfileTable",

@@ -22,7 +22,7 @@ from .oracle import (
     r_ple_recurrence,
     r_pluq_closed_form,
 )
-from .rank_profile import col_rank_profile, leading_rank_profiles, row_rank_profile
+from .rank_profile import leading_rank_profiles
 from .recursive import DEFAULT_THRESHOLD, pluq, pluq_iterative
 
 EXIT_OK = 0
@@ -91,15 +91,8 @@ def cmd_rank_profile(args) -> int:
             for t in range(factors.n + 1)
         ]
         payload = {"m": factors.m, "n": factors.n, "rank": factors.rank, "leading": table}
-    elif args.leading is not None:
-        payload = profiles_at(*args.leading)
-    else:
-        payload = {
-            "rows": list(row_rank_profile(factors)),
-            "cols": list(col_rank_profile(factors)),
-        }
-        if oracle_table is not None:
-            profiles_at(factors.m, factors.n)
+    else:  # the whole matrix is its own largest leading block
+        payload = profiles_at(*(args.leading or (factors.m, factors.n)))
     print(json.dumps(payload))
     return EXIT_OK
 

@@ -10,7 +10,6 @@ evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -166,7 +165,6 @@ def r_pluq_closed_form(m: int) -> int:
     return 2 * m * m - 2 * m
 
 
-@lru_cache(maxsize=None)
 def _r_ple(m: int, n: int) -> int:
     if n <= 0:
         return 0

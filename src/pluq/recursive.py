@@ -40,10 +40,11 @@ DEFAULT_THRESHOLD = 30
 class TrackingWorkspace:
     """Source of the decomposition's auxiliary element buffers, and their tally.
 
-    The recursion requests every element buffer it needs through this object
-    (the r3 x r2 triangular-solve scratch, the only one), which is what lets
-    the in-place contract be asserted: ``peak_elements`` is the most elements
-    live at once, ``max_scratch_block`` the largest single buffer.
+    The recursion takes every element buffer it needs from this object: one,
+    the copy ``hold(block)`` makes of the r3 x r2 block I that a triangular
+    solve overwrites.  That is what lets the in-place contract be asserted:
+    ``peak_elements`` is the most elements live at once, ``max_scratch_block``
+    the largest single buffer.
     """
 
     def __init__(self):
@@ -51,8 +52,9 @@ class TrackingWorkspace:
         self.peak_elements = 0
         self.max_scratch_block = 0
 
-    def element_buffer(self, shape, dtype) -> np.ndarray:
-        buf = np.zeros(shape, dtype=dtype)
+    def hold(self, block: np.ndarray) -> np.ndarray:
+        """A tracked copy of ``block``, counted live until ``release``."""
+        buf = block.copy()
         self.live_elements += buf.size
         self.peak_elements = max(self.peak_elements, self.live_elements)
         self.max_scratch_block = max(self.max_scratch_block, buf.size)
@@ -157,8 +159,7 @@ def _pluq_rec(data, ctx):
 
     # One solve turns [I | .] into [J | N]; the scratch keeps I, which the output needs.
     slab = data[kr : kr + r3, kc:]
-    scratch = ctx.ws.element_buffer((r3, r2), data.dtype)
-    scratch[:] = slab[:, :r2]
+    scratch = ctx.ws.hold(slab[:, :r2])
     kernels.trsm_left_unit_lower(l3, slab, counts, l3_invs)  # J and N
     kernels.mm_acc(slab[:, r2:], slab[:, :r2], data[r1 : r1 + r2, kc + r2 :], counts)  # O
     slab[:, :r2] = scratch

@@ -29,11 +29,13 @@ def random_matrix(rng, m, n, p):
 
 
 def leu_product(rng, m, n, p, support):
-    """(values, rows, cols): L E U multiplied exactly in Python integers,
-    independent of the package.  L and U are nonsingular lower and upper
-    triangular, drawn in that order; E has ones at (rows[i], cols[i]).
-    ``support`` is a rank r, for which r distinct rows and then r distinct
-    columns are drawn, or a given (rows, cols) pair."""
+    """(values, rows, cols): L E U multiplied exactly in int64, independent
+    of the package.  L and U are nonsingular lower and upper triangular,
+    drawn in that order; E has ones at (rows[i], cols[i]).  ``support`` is a
+    rank r, for which r distinct rows and then r distinct columns are drawn,
+    or a given (rows, cols) pair.  The product L[:, rows] @ U[cols, :] splits
+    L into 16-bit limbs: with p < 2**31 each limb product is below 2**47, so
+    every partial sum stays below 2**63 for r <= 2**15."""
     lower = np.tril(rng.integers(0, p, (m, m)), -1) + np.diag(rng.integers(1, p, m))
     upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
     if isinstance(support, int):
@@ -41,8 +43,10 @@ def leu_product(rng, m, n, p, support):
         cols = rng.choice(n, support, replace=False)
     else:
         rows, cols = (np.asarray(s, dtype=np.int64) for s in support)
-    prod = (lower[:, rows].astype(object) @ upper[cols, :].astype(object)) % p
-    return prod.astype(np.int64).reshape(m, n), rows, cols
+    assert len(rows) <= 2**15
+    left, right = lower[:, rows], upper[cols, :]
+    high, low = (left >> 16) @ right, (left & 0xFFFF) @ right
+    return (high % p * 2**16 + low) % p, rows, cols
 
 
 def split_side(levels):

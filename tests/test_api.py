@@ -1,11 +1,15 @@
+import pathlib
+import re
+
 import pluq
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 DOCUMENTED_API = {
     # decomposition
     "pluq",
     "pluq_iterative",
     "DEFAULT_THRESHOLD",
-    "ClassicalKernels",
     "OpCounts",
     "TrackingWorkspace",
     # fields, matrices, permutations, factors
@@ -43,3 +47,11 @@ def test_all_is_the_documented_api():
     assert set(pluq.__all__) == DOCUMENTED_API
     for name in pluq.__all__:
         assert getattr(pluq, name) is not None, name
+
+
+def test_readme_api_table_names_the_documented_api():
+    section = README.read_text().split("## Public API", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ") and "`" in line]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
+    assert len(names) == len(set(names))
+    assert set(names) == DOCUMENTED_API

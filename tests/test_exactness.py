@@ -19,13 +19,13 @@ import pytest
 
 from pluq import (
     DEFAULT_THRESHOLD,
-    ClassicalKernels,
     DenseMatrix,
     PrimeField,
     gen_rank_deficient_rect,
     pluq,
     pluq_iterative,
 )
+from pluq.kernels import ClassicalKernels
 from test_moduli import PRIMES
 
 F64_EXACT = 2**53

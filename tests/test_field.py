@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pluq import ClassicalKernels, OpCounts, PrimeField, inverse_mod, is_prime
+from pluq import OpCounts, PrimeField, inverse_mod, is_prime
 from pluq.field import _REDUCE_MIN
+from pluq.kernels import ClassicalKernels
 from test_moduli import PRIMES as MODULI_PRIMES
 
 PRIMES = [2, 3, 5, 7, 101, 1009]

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pluq import (
-    ClassicalKernels,
     DenseMatrix,
     OpCounts,
     Permutation,
@@ -16,6 +15,7 @@ from pluq import (
     rank_naive,
 )
 from pluq.field import inverse_mod
+from pluq.kernels import ClassicalKernels
 from pluq.recursive import TrackingWorkspace, _Ctx, _decompose_inplace
 from conftest import is_identity, mat, random_matrix
 

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pluq import ClassicalKernels, OpCounts, PrimeField, pluq
+from pluq import OpCounts, PrimeField, pluq
+from pluq.kernels import ClassicalKernels
 from pluq.matrix import _PANEL_ROWS
 from conftest import mat, random_matrix
 from test_moduli import PRIMES

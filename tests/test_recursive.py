@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pluq import (
-    ClassicalKernels,
     DenseMatrix,
     OpCounts,
     Permutation,
@@ -20,6 +19,7 @@ from pluq import (
     rank_naive,
 )
 from pluq import recursive
+from pluq.kernels import ClassicalKernels
 from pluq.oracle import LeadingProfileTable
 from pluq.recursive import DEFAULT_THRESHOLD, build_s_perm, build_t_perm
 from conftest import is_identity, mat, random_matrix, split_side
@@ -227,6 +227,19 @@ def test_workspace_scratch_is_bounded():
     assert ws.peak_elements <= ws.max_scratch_block + 2 * (64 + 64)
     assert ws.peak_elements == ws.max_scratch_block
     assert ws.live_elements == 0
+
+
+def test_workspace_hold_tracks_a_copy():
+    ws = TrackingWorkspace()
+    host = np.arange(20.0).reshape(4, 5)
+    block = host[1:3, 1:4]
+    held = ws.hold(block)
+    block[:] = -1  # a view of the block would see this
+    assert np.array_equal(held, np.arange(20.0).reshape(4, 5)[1:3, 1:4])
+    assert not np.shares_memory(held, host)
+    assert (ws.live_elements, ws.peak_elements, ws.max_scratch_block) == (6, 6, 6)
+    ws.release(held)
+    assert (ws.live_elements, ws.peak_elements, ws.max_scratch_block) == (0, 6, 6)
 
 
 def test_row_order_is_inverted_once_at_the_api(monkeypatch):
