@@ -11,6 +11,7 @@ of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 
 from __future__ import annotations
 
+import operator
 from math import isqrt
 
 import numpy as np
@@ -72,8 +73,10 @@ class PrimeField:
     dtype = np.float64
 
     def __init__(self, p: int):
-        if not isinstance(p, int):
-            raise ValueError(f"modulus must be a prime integer, got {p!r}")
+        try:  # any integer type, numpy's included, stored as a Python int
+            p = operator.index(p)
+        except TypeError:
+            raise ValueError(f"modulus must be a prime integer, got {p!r}") from None
         # the bound first: trial division on a huge modulus would not finish
         if p >= _MODULUS_BOUND:
             raise ValueError(f"modulus {p} exceeds the bound {_MODULUS_BOUND}")

@@ -1,6 +1,6 @@
-"""Block update kernels: multiply-accumulate and the two triangular solves.
+"""Block update kernels: multiply-accumulate, two triangular solves, one elimination step.
 
-All three are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
+All four are built on one block update, ``_sub_mul`` (C <- C - A*B mod p in
 place), and the two solves share one left-looking solver, ``_solve_lower``
 (B <- L^-1 B over leaves of 32 rows: each takes one block update from the
 rows above it, then applies its inverted diagonal block with one product).
@@ -10,11 +10,12 @@ given none forms its own).  B U^-1 is (U^-T B^T)^T on transposed views.  The
 block update reduces its contiguous product panel with
 ``PrimeField.reduce_mod`` and writes C once per panel.
 
-Each kernel charges the OpCounts it is handed at its public entry point,
-whatever reductions the updates and the leaves perform internally.  Field
-operations are charged in the paper's unit: one multiply-accumulate is one
-``field_mul`` plus one ``field_add``, a scaling by an inverted diagonal entry
-is one ``field_mul``, and each pivot inversion is one ``field_inv``;
+Every charge of a decomposition happens at a ``ClassicalKernels`` entry
+point: each kernel charges the OpCounts it is handed there, whatever
+reductions the updates and the leaves perform internally.  Field operations
+are charged in the paper's unit: one multiply-accumulate is one ``field_mul``
+plus one ``field_add``, a scaling by an inverted diagonal entry is one
+``field_mul``, and each pivot inversion is one ``field_inv``;
 ``OpCounts.total_field_ops()`` is the paper's "field operations".  Modular
 reductions follow the delayed-reduction model:
 
@@ -30,6 +31,9 @@ reductions follow the delayed-reduction model:
 * ``trsm_right_upper`` (B <- B U^-1): 2*m*r reductions (one extra per entry
   for the scaling) and r ``field_inv``, per solve even where solves share a
   stack.
+* ``eliminate_below`` (pivot ``block[0, 0]``, m rows): one ``field_inv`` and
+  m-1 ``field_mul`` and reductions for the multipliers, 0 when m == 1, plus
+  what the ``mm_acc`` of its rank-one update charges.
 
 ``pluq()`` builds one ``ClassicalKernels`` per decomposition.  Internal
 scratch stays bounded by a fixed row panel: 32 rows of a product, a leaf's
@@ -69,6 +73,19 @@ class ClassicalKernels:
         counts.field_mul += m * n * k
         counts.field_add += m * n * k
         self._sub_mul(c, a, b)
+
+    def eliminate_below(self, block: np.ndarray, counts: OpCounts) -> None:
+        """Eliminate under the pivot ``block[0, 0]``: scale the column below it
+        by the pivot's inverse, then take the rank-one update with ``mm_acc``."""
+        below = block.shape[0] - 1
+        if not below:
+            return
+        counts.field_inv += 1
+        counts.field_mul += below
+        counts.modular_reductions += below
+        mults = block[1:, :1]
+        mults[:] = self.field.mul_mod(mults, np.float64(inverse_mod(int(block[0, 0]), self.field.p)))
+        self.mm_acc(block[1:, 1:], mults, block[:1, 1:], counts)
 
     def _sub_mul(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         """C <- (C - A @ B) mod p in place, one row panel at a time; charges nothing."""

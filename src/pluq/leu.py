@@ -34,24 +34,21 @@ def _is_upper(arr: np.ndarray) -> bool:
     return bool(np.all(np.tril(arr, -1) == 0))
 
 
-def _conjugated_lower(factors: PluqFactors, bottom_right: np.ndarray) -> np.ndarray:
-    """P [L 0; M Y] P^T as a dense array."""
-    m, r = factors.m, factors.rank
-    inner = np.zeros((m, m), dtype=factors.packed.data.dtype)
-    inner[:, :r] = factors.extract_lm()
-    inner[r:, r:] = bottom_right
-    sig = factors.p_perm.sigma
-    return inner[np.ix_(sig, sig)]
-
-
-def _conjugated_upper(factors: PluqFactors, bottom_right: np.ndarray) -> np.ndarray:
-    """Q^T [U V; 0 Z] Q as a dense array."""
-    n, r = factors.n, factors.rank
-    inner = np.zeros((n, n), dtype=factors.packed.data.dtype)
-    inner[:r, :] = factors.extract_uv()
-    inner[r:, r:] = bottom_right
-    inv = factors.q_perm.inverse().sigma
-    return inner[np.ix_(inv, inv)]
+def _extensions(factors: PluqFactors, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P [L 0; M Y] P^T and Q^T [U V; 0 Z] Q as dense arrays."""
+    m, n, r = factors.m, factors.n, factors.rank
+    if y.shape != (m - r, m - r):
+        raise ValueError(f"Y must be {(m - r, m - r)}, got {y.shape}")
+    if z.shape != (n - r, n - r):
+        raise ValueError(f"Z must be {(n - r, n - r)}, got {z.shape}")
+    lower = np.zeros((m, m), dtype=factors.packed.data.dtype)
+    lower[:, :r] = factors.extract_lm()
+    lower[r:, r:] = y
+    upper = np.zeros((n, n), dtype=factors.packed.data.dtype)
+    upper[:r, :] = factors.extract_uv()
+    upper[r:, r:] = z
+    sig, inv = factors.p_perm.sigma, factors.q_perm.inverse().sigma
+    return lower[np.ix_(sig, sig)], upper[np.ix_(inv, inv)]
 
 
 def check_triangular_extension(factors: PluqFactors, y: np.ndarray, z: np.ndarray) -> tuple[bool, bool]:
@@ -61,15 +58,8 @@ def check_triangular_extension(factors: PluqFactors, y: np.ndarray, z: np.ndarra
     factors come from the Z-curve pivoting; a different pivoting strategy can
     make either check fail.
     """
-    m, n, r = factors.m, factors.n, factors.rank
-    if y.shape != (m - r, m - r):
-        raise ValueError(f"Y must be {(m - r, m - r)}, got {y.shape}")
-    if z.shape != (n - r, n - r):
-        raise ValueError(f"Z must be {(n - r, n - r)}, got {z.shape}")
-    return (
-        _is_unit_lower(_conjugated_lower(factors, y)),
-        _is_upper(_conjugated_upper(factors, z)),
-    )
+    lower, upper = _extensions(factors, y, z)
+    return _is_unit_lower(lower), _is_upper(upper)
 
 
 def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
@@ -84,8 +74,7 @@ def to_leu(factors: PluqFactors, original: DenseMatrix) -> LeuFactors:
     if original.shape != (m, n) or original.p != field.p:
         raise ValueError("original matrix does not match the factors")
 
-    lbar = _conjugated_lower(factors, np.eye(m - r, dtype=field.dtype))
-    ubar = _conjugated_upper(factors, np.zeros((n - r, n - r), dtype=field.dtype))
+    lbar, ubar = _extensions(factors, np.eye(m - r), np.zeros((n - r, n - r)))
     e = np.zeros((m, n), dtype=field.dtype)
     rows, cols = factors.supports
     e[rows, cols] = 1

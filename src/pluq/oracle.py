@@ -166,8 +166,6 @@ def r_pluq_closed_form(m: int) -> int:
 
 
 def _r_ple(m: int, n: int) -> int:
-    if n <= 0:
-        return 0
     if m == 1:
         return 0
     h = m // 2

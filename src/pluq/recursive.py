@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import inverse_mod
 from .kernels import ClassicalKernels
 from .matrix import (
     DenseMatrix,
@@ -205,7 +204,6 @@ def _decompose_inplace(data: np.ndarray, ctx: _Ctx, trace=None):
     algorithm, which uses this routine as its base case.
     """
     kernels, counts = ctx.kernels, ctx.counts
-    field = kernels.field
     m, n = data.shape
     rows = np.arange(m, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
@@ -241,15 +239,7 @@ def _decompose_inplace(data: np.ndarray, ctx: _Ctx, trace=None):
             continue
 
         prow, qcol = pivot
-        below = m - prow - 1
-        if below:
-            inv_piv = inverse_mod(int(data[prow, qcol]), field.p)
-            counts.field_inv += 1
-            mults = data[prow + 1 :, qcol : qcol + 1]
-            mults[:] = field.mul_mod(mults, np.float64(inv_piv))
-            counts.field_mul += below
-            counts.modular_reductions += below
-            kernels.mm_acc(data[prow + 1 :, qcol + 1 :], mults, data[prow : prow + 1, qcol + 1 :], counts)
+        kernels.eliminate_below(data[prow:, qcol:], counts)
 
         # Rotate the pivot into slot (r, r); the rows r..prow-1 and columns
         # r..qcol-1 shift by one, preserving their relative order.

@@ -1,12 +1,15 @@
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 
-from pluq import DEFAULT_THRESHOLD, gen_rank_deficient_rect
+from pluq import DEFAULT_THRESHOLD, LeadingProfileTable, gen_rank_deficient_rect
 from pluq import cli
 from pluq.cli import main
 from conftest import mat
+from test_api import README
 
 
 def write(path, matrix):
@@ -131,6 +134,14 @@ def test_rank_profile_whole_matrix_with_oracle(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"rows", "cols"}
     assert len(payload["rows"]) == len(payload["cols"]) == 3
+
+
+def test_rank_profile_oracle_disagreement_exits_2(tmp_path, capsys, monkeypatch):
+    src = write(tmp_path / "a.txt", gen_rank_deficient_rect(6, 5, 3, 101, seed=4))
+    monkeypatch.setattr(LeadingProfileTable, "rows", lambda self, k, t: (-1,))
+    assert main(["rank-profile", src, "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert "oracle disagreement" in captured.err and captured.out == ""
 
 
 def test_count_pluq_matches_model(tmp_path, capsys):
@@ -267,3 +278,15 @@ def test_missing_file_exit_code(tmp_path):
     except FileNotFoundError:
         pytest.fail("I/O errors must be mapped to exit codes")
     assert code == 1
+
+
+def test_readme_cli_synopsis_names_every_option():
+    block = README.read_text().split("\n## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines()]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in lines if line.strip()}
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == defined

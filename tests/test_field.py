@@ -18,6 +18,16 @@ def test_modulus_must_be_prime():
         assert PrimeField(good).p == good
 
 
+def test_modulus_of_any_integer_type_is_read_as_an_int():
+    field = PrimeField(np.int64(7))
+    assert field == PrimeField(7) and type(field.p) is int
+    assert PrimeField(np.uint16(1009)).max_accumulate == PrimeField(1009).max_accumulate
+    assert PrimeField(7) != PrimeField(5) and PrimeField(7) != 7
+    for bad in (7.0, np.float64(7), "7", np.int64(9), None):
+        with pytest.raises(ValueError, match="modulus must be a prime integer"):
+            PrimeField(bad)
+
+
 def test_modulus_bound_and_override():
     # every prime below 2**31 is accepted
     for p in (67108879, 2**31 - 1):  # primes just above 2**26 and just below 2**31

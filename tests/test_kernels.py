@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pluq import OpCounts, PrimeField, pluq
+from pluq import OpCounts, PrimeField, gen_rank_deficient_rect, pluq, pluq_iterative
 from pluq.kernels import ClassicalKernels
 from pluq.matrix import _PANEL_ROWS
-from conftest import mat, random_matrix
+from conftest import mat, random_matrix, split_side
 from test_moduli import PRIMES
 
 
@@ -361,50 +361,69 @@ def test_solver_call_count_with_32_row_leaves(monkeypatch):
 
 
 class ChargeRecorder:
-    """Patches the three charged entry points of ``ClassicalKernels``, as the
-    benchmark's tracer does, asserting every call's model charges against the
-    closed forms."""
+    """Patches the four charged entry points of ``ClassicalKernels``, as the
+    benchmark's tracer does.  Each call adds its own closed-form charge, in
+    ``OpCounts`` field order, to ``expected``; ``eliminate_below``'s leaves out
+    the ``mm_acc`` it makes, which is recorded on its own.  Every call must
+    change its counts by exactly the charges recorded while it ran."""
+
+    NAMES = ("mm_acc", "trsm_left_unit_lower", "trsm_right_upper", "eliminate_below")
 
     def __init__(self, monkeypatch):
-        self.calls = 0
+        self.expected = [0, 0, 0, 0]
+        self.calls = dict.fromkeys(self.NAMES, 0)
         self.shared_right = 0  # right solves given a node's stack
-        for name in ("mm_acc", "trsm_left_unit_lower", "trsm_right_upper"):
-            run, record = getattr(ClassicalKernels, name), getattr(self, name)
-            monkeypatch.setattr(ClassicalKernels, name,
-                                lambda kern, *args, run=run, record=record: record(run, kern, *args))
+        for name in self.NAMES:
+            run, charge = getattr(ClassicalKernels, name), getattr(self, name)
+            monkeypatch.setattr(ClassicalKernels, name, lambda kern, *args, run=run, charge=charge, name=name:
+                                self._record(name, run, charge, kern, *args))
 
-    def mm_acc(self, run, kern, c, a, b, counts):
-        before = dataclasses.replace(counts)
-        run(kern, c, a, b, counts)
-        m, k = a.shape
-        n = b.shape[1]
-        expect = m * n if (k and m and n) else 0
-        assert counts.modular_reductions - before.modular_reductions == expect
-        assert counts.field_mul - before.field_mul == (m * n * k if expect else 0)
-        self.calls += 1
+    def _record(self, name, run, charge, kern, *args):
+        counts = next(x for x in args if isinstance(x, OpCounts))
+        start, before = list(self.expected), dataclasses.astuple(counts)
+        self.expected = [e + c for e, c in zip(self.expected, charge(*args))]
+        run(kern, *args)
+        recorded = [e - s for e, s in zip(self.expected, start)]
+        assert [x - y for x, y in zip(dataclasses.astuple(counts), before)] == recorded, name
+        self.calls[name] += 1
 
-    def trsm_left_unit_lower(self, run, kern, l, b, counts, invs=None):
-        before = dataclasses.replace(counts)
-        run(kern, l, b, counts, invs)
+    @staticmethod
+    def mm_acc(c, a, b, counts):
+        (m, k), n = a.shape, b.shape[1]
+        return (m * n * k, m * n * k, 0, m * n) if k and m and n else (0, 0, 0, 0)
+
+    @staticmethod
+    def trsm_left_unit_lower(l, b, counts, invs=None):
         r, n = l.shape[0], b.shape[1]
-        assert counts.modular_reductions - before.modular_reductions == (r * n if r and n else 0)
-        self.calls += 1
+        return (n * (r * (r - 1) // 2), n * (r * (r - 1) // 2), 0, r * n)
 
-    def trsm_right_upper(self, run, kern, b, u, counts, invs=None):
-        before = dataclasses.replace(counts)
-        run(kern, b, u, counts, invs)
+    def trsm_right_upper(self, b, u, counts, invs=None):
         m, r = b.shape
-        assert counts.modular_reductions - before.modular_reductions == (2 * m * r if r else 0)
-        assert counts.field_inv - before.field_inv == r  # also where the stack is shared
         self.shared_right += invs is not None and m > 0
-        self.calls += 1
+        # r inversions per solve, also where the stack is shared or B has no rows
+        return (m * (r * (r + 1) // 2), m * (r * (r - 1) // 2), r, 2 * m * r)
+
+    @staticmethod
+    def eliminate_below(block, counts):
+        below = block.shape[0] - 1
+        return (below, 0, 1, below) if below > 0 else (0, 0, 0, 0)
 
 
 def test_reduction_charges_match_closed_forms_throughout_decomposition(monkeypatch):
     rng = np.random.default_rng(123)
     recorder = ChargeRecorder(monkeypatch)
-    for trial in range(20):
-        m, n = (int(x) for x in rng.integers(1, 20, 2))
-        a = random_matrix(rng, m, n, 101)
-        pluq(a, threshold=2, counts=OpCounts())
-    assert recorder.calls > 0 and recorder.shared_right > 0
+    side = split_side(2)  # split at DEFAULT_THRESHOLD, and its halves too
+    routes = [  # (decompose, sides, trials)
+        (lambda a, counts: pluq(a, threshold=2, counts=counts), (1, 19), 20),
+        (lambda a, counts: pluq(a, threshold=1, counts=counts), (1, 19), 10),
+        (lambda a, counts: pluq(a, counts=counts), (side, side + 8), 4),
+        (pluq_iterative, (1, 19), 10),
+    ]
+    for decompose, (lo, hi), trials in routes:
+        for trial in range(trials):
+            m, n = (int(x) for x in rng.integers(lo, hi + 1, 2))
+            for a in (random_matrix(rng, m, n, 101), gen_rank_deficient_rect(m, n, min(m, n) // 2, 101, trial)):
+                recorder.expected, counts = [0, 0, 0, 0], OpCounts()
+                decompose(a, counts)
+                assert OpCounts(*recorder.expected) == counts, (m, n)
+    assert all(recorder.calls.values()) and recorder.shared_right > 0

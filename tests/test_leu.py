@@ -98,6 +98,22 @@ def test_triangular_extension_dimension_checks():
     f = pluq(a.copy())
     with pytest.raises(ValueError):
         check_triangular_extension(f, np.eye(2), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="Z must be"):
+        check_triangular_extension(f, np.eye(3), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("factors, values, message", [
+    # valid PLUQs over F_5 whose conjugated factors are not triangular
+    (PluqFactors(Permutation([1, 0]), Permutation([0]), 1, mat([[1], [1]], 5)), [[1], [1]],
+     "Lbar is not unit lower triangular"),
+    (PluqFactors(Permutation([0]), Permutation([1, 0]), 1, mat([[1, 1]], 5)), [[1, 1]],
+     "Ubar is not upper triangular"),
+], ids=["lbar", "ubar"])
+def test_to_leu_rejects_non_triangular_conjugates(factors, values, message):
+    assert factors.check_structure() == []
+    assert factors.reconstruct() == mat(values, 5)
+    with pytest.raises(RuntimeError, match=message):
+        to_leu(factors, mat(values, 5))
 
 
 def _last_nonzero_pluq(a: DenseMatrix) -> PluqFactors:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pluq import (
+    PrimeField,
     gen_full_rank_generic,
     gen_rank_deficient_rect,
     rank_naive,
@@ -19,6 +20,16 @@ def test_same_seed_same_matrix():
 def test_generic_single_entry():
     a = gen_full_rank_generic(1, 7, seed=0)
     assert a.shape == (1, 1) and int(a.data[0, 0]) != 0
+
+
+def test_generic_dimension_must_be_positive():
+    with pytest.raises(ValueError, match="dimension"):
+        gen_full_rank_generic(0, 1009, 0)
+
+
+def test_numpy_integer_modulus():
+    a = gen_rank_deficient_rect(8, 8, 4, np.int64(7), 0)
+    assert a.field == PrimeField(7) and a == gen_rank_deficient_rect(8, 8, 4, 7, 0)
 
 
 def test_generic_all_leading_minors_nonzero():

@@ -81,6 +81,8 @@ def test_compose_trivial():
     sigma = Permutation([2, 0, 1])
     assert sigma.compose(Permutation.identity(3)) == sigma
     assert is_identity(sigma.compose(sigma.inverse()))
+    with pytest.raises(ValueError, match="size mismatch"):
+        sigma.compose(Permutation.identity(2))
 
 
 def test_compose_matches_matrix_product_exhaustive():

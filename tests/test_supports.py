@@ -4,7 +4,7 @@ A = L E U with L, U nonsingular triangular and E a partial permutation has
 rank profile matrix E, and the pivoting of the decomposition makes
 ``f.supports`` reveal it.  Each input, drawn or built on an adversarial
 support, goes through the recursion at thresholds from 1 (quadrant recursion
-to single lines) to 128 (two splits at most on the largest inputs), stored in
+to single lines) to 128 (three splits at most on the largest inputs), stored in
 C order, in Fortran order or as a strided view into a larger array; every
 run must reconstruct the input, keep the packed layout, return exactly the
 support of E and leave the view's host untouched outside the view.
@@ -19,8 +19,11 @@ from conftest import leu_product
 from test_moduli import PRIMES, _sentinels_kept, _stored
 
 THRESHOLDS = [1, 2, DEFAULT_THRESHOLD, 64, 128]
-# deep: threshold 128 splits once; deeper: 128 splits twice and 64 three times
-SIDES = {"small": (1, 24), "mid": (25, 80), "deep": (129, 133), "deeper": (258, 300)}
+# A block splits while min(m, n) > threshold, so along child 1: deep: threshold
+# 128 splits once; deeper: 128 splits twice, 64 three times from 260 (258 and
+# 259 split twice, 258 -> 129 -> 64); deepest: 128 splits three times
+# (516 -> 258 -> 129), 64 four times from 520
+SIDES = {"small": (1, 24), "mid": (25, 80), "deep": (129, 133), "deeper": (258, 300), "deepest": (516, 600)}
 LAYOUTS = ["c", "fortran", "strided"]
 
 
@@ -58,6 +61,7 @@ def leu_shapes(draw):
 @example(p=67108859, shape=(66, 66, 1), layout="fortran", seed=5)
 @example(p=2**31 - 1, shape=(129, 130, 40), layout="strided", seed=6)
 @example(p=2**31 - 1, shape=(290, 260, 150), layout="c", seed=7)
+@example(p=1009, shape=(600, 560, 300), layout="fortran", seed=8)
 def test_drawn_support_is_revealed_at_every_threshold(p, shape, layout, seed):
     m, n, r = shape
     values, rows, cols = leu_product(np.random.default_rng(seed), m, n, p, r)
