@@ -5,10 +5,10 @@ call on the upper-left quadrant and a round of triangular/multiply updates,
 two independent recursive calls handle the anti-diagonal quadrants, a last
 round of updates forms the bottom-right Schur-type block for the fourth call,
 and two block permutations S (rows) and T (columns) gather the factors into
-the packed [L\\U, V; M, 0] layout.  Everything runs inside the input storage;
-the one licensed scratch buffer holds aside the r3 x r2 block I that a
-triangular solve overwrites and the output keeps.  Permutations gather in
-bounded panels (see ``matrix._permute_inplace``) and need no buffer.
+the packed [L\\U, V; M, 0] layout.  Everything runs inside the input storage:
+the r3 x r2 block I, which a triangular solve overwrites and the output keeps,
+waits in the zero block child 1 leaves, and permutations gather in bounded
+panels (see ``matrix._permute_inplace``).
 
 A block with at most ``threshold`` rows or columns, which includes every
 single row and column, goes to the base case ``_decompose_inplace``, the
@@ -37,30 +37,13 @@ DEFAULT_THRESHOLD = 30
 
 
 class TrackingWorkspace:
-    """Source of the decomposition's auxiliary element buffers, and their tally.
-
-    The recursion takes every element buffer it needs from this object: one,
-    the copy ``hold(block)`` makes of the r3 x r2 block I that a triangular
-    solve overwrites.  That is what lets the in-place contract be asserted:
-    ``peak_elements`` is the most elements live at once, ``max_scratch_block``
-    the largest single buffer.
-    """
+    """Auxiliary element buffers of a decomposition: there are none, so both
+    totals read 0.  Kept because ``perfbench/run.py`` passes one to ``pluq``
+    and records ``peak_elements`` and ``max_scratch_block``."""
 
     def __init__(self):
-        self.live_elements = 0
         self.peak_elements = 0
         self.max_scratch_block = 0
-
-    def hold(self, block: np.ndarray) -> np.ndarray:
-        """A tracked copy of ``block``, counted live until ``release``."""
-        buf = block.copy()
-        self.live_elements += buf.size
-        self.peak_elements = max(self.peak_elements, self.live_elements)
-        self.max_scratch_block = max(self.max_scratch_block, buf.size)
-        return buf
-
-    def release(self, buf: np.ndarray) -> None:
-        self.live_elements -= buf.size
 
 
 def build_s_perm(r1: int, r2: int, r3: int, r4: int, k: int, m: int) -> Permutation:
@@ -88,7 +71,6 @@ class _Ctx:
     threshold: int
     counts: OpCounts
     kernels: ClassicalKernels
-    ws: TrackingWorkspace
 
 
 def pluq(
@@ -101,6 +83,8 @@ def pluq(
 
     ``threshold`` is the crossover below which the iterative base case runs
     (1 keeps the quadrant recursion all the way down to single rows/columns).
+    ``workspace`` is accepted and left at zero: the decomposition takes no
+    buffer beside ``a`` (see ``TrackingWorkspace``).
     """
     if not threshold >= 1:  # catches NaN too: no block size is <= NaN
         raise ValueError("threshold must be a positive integer")
@@ -108,7 +92,6 @@ def pluq(
         threshold=threshold,
         counts=counts if counts is not None else OpCounts(),
         kernels=ClassicalKernels(a.field),
-        ws=workspace if workspace is not None else TrackingWorkspace(),
     )
     rows, cols, rank = _pluq_rec(a.data, ctx)
     return PluqFactors(rows.inverse(), cols, rank, a)
@@ -156,13 +139,15 @@ def _pluq_rec(data, ctx):
     kernels.trsm_right_upper(data[kr : kr + r3, kc : kc + r2], u2, counts, u2_invs)  # I
     kernels.trsm_right_upper(data[kr + r3 :, kc : kc + r2], u2, counts, u2_invs)     # K
 
-    # One solve turns [I | .] into [J | N]; the scratch keeps I, which the output needs.
+    # One solve turns [I | .] into [J | N]; I, which the output needs, waits in child 1's zero block
+    # data[r1:kr, r1:kc]: nothing writes there before S and T, and r2 <= kr - r1, r3 <= kc - r1.
     slab = data[kr : kr + r3, kc:]
-    scratch = ctx.ws.hold(slab[:, :r2])
+    held = data[r1 : r1 + r2, r1 : r1 + r3].T
+    held[...] = slab[:, :r2]
     kernels.trsm_left_unit_lower(l3, slab, counts, l3_invs)  # J and N
     kernels.mm_acc(slab[:, r2:], slab[:, :r2], data[r1 : r1 + r2, kc + r2 :], counts)  # O
-    slab[:, :r2] = scratch
-    ctx.ws.release(scratch)
+    slab[:, :r2] = held
+    held[...] = 0
     del l3_invs, u2_invs
 
     kernels.mm_acc(data[kr + r3 :, kc + r2 :], data[kr + r3 :, kc : kc + r2], data[r1 : r1 + r2, kc + r2 :], counts)

@@ -236,18 +236,16 @@ def test_criterion_08_in_place_contract():
     pluq(a, threshold=30, workspace=ws)
     peak_bytes = tracemalloc.get_traced_memory()[1] - baseline
     tracemalloc.stop()
-    # the recursion's own buffers: one scratch block (<= max r3*r2 over the
-    # recursion); the allowance keeps the room of two O(m + n) line buffers,
-    # which the permutation gathers do not use
-    ws_ok = ws.peak_elements <= ws.max_scratch_block + 2 * (m + n) and ws.live_elements == 0
+    # the recursion takes no buffer of its own: I waits in a zero block of the input
+    ws_ok = ws.peak_elements == ws.max_scratch_block == 0
     # kernel-internal multiply panels and the permutation gathers' panels are
     # exempt but stay far below the input size; a hidden full-matrix copy
     # would blow this cap
     input_bytes = m * n * a.data.itemsize
     _report(
         8,
-        f"auxiliary space: {ws.peak_elements} tracked elements vs allowance "
-        f"{ws.max_scratch_block + 2 * (m + n)}; process peak {peak_bytes/1024:.0f} KiB "
+        f"auxiliary space: {ws.peak_elements} tracked elements (0 allowed); "
+        f"process peak {peak_bytes/1024:.0f} KiB "
         f"vs cap {0.5 * input_bytes / 1024:.0f} KiB",
         ws_ok and peak_bytes <= 0.5 * input_bytes,
     )

@@ -55,3 +55,10 @@ def test_readme_api_table_names_the_documented_api():
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
     assert len(names) == len(set(names))
     assert set(names) == DOCUMENTED_API
+
+
+def test_reprs_name_the_type_and_its_parameters():
+    field = pluq.PrimeField(5)
+    assert repr(field) == "PrimeField(5)"
+    assert repr(pluq.DenseMatrix(field, [[1, 2, 3], [4, 0, 1]])) == "DenseMatrix(2x3 mod 5)"
+    assert repr(pluq.Permutation([1, 0])) == "Permutation([1, 0])"

@@ -16,13 +16,13 @@ from pluq import (
 )
 from pluq.field import inverse_mod
 from pluq.kernels import ClassicalKernels
-from pluq.recursive import TrackingWorkspace, _Ctx, _decompose_inplace
+from pluq.recursive import _Ctx, _decompose_inplace
 from conftest import is_identity, mat, random_matrix
 
 
 def _ctx(kernels, counts):
     """The context the recursion hands its base case (the threshold is unused there)."""
-    return _Ctx(threshold=1, counts=counts, kernels=kernels, ws=TrackingWorkspace())
+    return _Ctx(threshold=1, counts=counts, kernels=kernels)
 
 
 def test_zero_matrix():

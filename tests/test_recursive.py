@@ -10,7 +10,6 @@ from pluq import (
     OpCounts,
     Permutation,
     PrimeField,
-    TrackingWorkspace,
     gen_full_rank_generic,
     gen_rank_deficient_rect,
     leading_rank_profiles,
@@ -218,30 +217,6 @@ def test_storage_is_consumed_in_place():
     assert f.packed is a  # same object: input storage holds the packed factors
 
 
-def test_workspace_scratch_is_bounded():
-    ws = TrackingWorkspace()
-    a = gen_rank_deficient_rect(64, 64, 32, 101, seed=9)
-    pluq(a, threshold=8, workspace=ws)
-    # at most one r3 x r2 scratch live at any time; the allowance keeps the
-    # room of two O(m + n) line buffers, which the permutation gathers do not use
-    assert ws.peak_elements <= ws.max_scratch_block + 2 * (64 + 64)
-    assert ws.peak_elements == ws.max_scratch_block
-    assert ws.live_elements == 0
-
-
-def test_workspace_hold_tracks_a_copy():
-    ws = TrackingWorkspace()
-    host = np.arange(20.0).reshape(4, 5)
-    block = host[1:3, 1:4]
-    held = ws.hold(block)
-    block[:] = -1  # a view of the block would see this
-    assert np.array_equal(held, np.arange(20.0).reshape(4, 5)[1:3, 1:4])
-    assert not np.shares_memory(held, host)
-    assert (ws.live_elements, ws.peak_elements, ws.max_scratch_block) == (6, 6, 6)
-    ws.release(held)
-    assert (ws.live_elements, ws.peak_elements, ws.max_scratch_block) == (0, 6, 6)
-
-
 def test_row_order_is_inverted_once_at_the_api(monkeypatch):
     # The recursion and the base case carry gather orders; pluq() and
     # pluq_iterative() each turn the row order into P with one inversion.
@@ -365,12 +340,10 @@ def test_node_call_shape(monkeypatch, make, threshold, deficient):
     for name in ("trsm_left_unit_lower", "trsm_right_upper"):
         monkeypatch.setattr(ClassicalKernels, name, counted(getattr(ClassicalKernels, name), 2))
     a = make()
-    ws = TrackingWorkspace()
-    f = pluq(a.copy(), threshold=threshold, workspace=ws)
+    f = pluq(a.copy(), threshold=threshold)
     assert f.reconstruct() == a and not f.check_structure()
     split = [(gathers, solves) for ranks, gathers, solves in nodes if ranks]
     assert split and set(split) == {(10, 5)}
     assert all((gathers, solves) == (0, 0) for ranks, gathers, solves in nodes if not ranks)
-    if deficient:  # some node keeps a nonempty I aside while J and N are solved together
+    if deficient:  # some node holds a nonempty I in child 1's zero block while J and N are solved together
         assert any(ranks[1] and ranks[2] for ranks, _, _ in nodes if ranks)
-        assert ws.max_scratch_block > 0 and ws.live_elements == 0

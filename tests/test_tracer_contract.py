@@ -63,9 +63,9 @@ def test_applied_orders_are_not_rewritten(monkeypatch, threshold, side):
 
 
 def test_workspace_totals_read_by_the_benchmark():
-    # perfbench's model_counts runs pluq this way and records both totals
+    # perfbench's model_counts runs pluq this way and records both totals;
+    # the decomposition takes no buffer beside its input, so both read 0
     ws = TrackingWorkspace()
     pluq(_input(split_side(2)), counts=OpCounts(), workspace=ws)
     assert type(ws.peak_elements) is int and type(ws.max_scratch_block) is int
-    assert ws.peak_elements == ws.max_scratch_block > 0
-    assert ws.live_elements == 0
+    assert ws.peak_elements == ws.max_scratch_block == 0
