@@ -359,6 +359,27 @@ class PluqFactors:
         r = self.rank
         return _inverse_map(self.p_perm.sigma)[:r], self.q_perm.sigma[:r]
 
+    @cached_property
+    def _support_index(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The supports sorted by row, then sorted by column.  Each side is
+        (keys ascending, each pivot's index on the other side, keys as an
+        object array of Python ints), so a leading-block query is a binary
+        search and a masked prefix.  Formed on first use; the permutations
+        must not change after."""
+        rows, cols = self.supports
+
+        def side(keys: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
+            # The keys as Python ints, made once, so that an answer selects
+            # objects and creates none.  Against masking and sorting every
+            # support per query (in-process pairs, 2 vCPUs), the query p99
+            # read 0.55-0.73 of it with these, 0.80-0.94 with tolist() on the
+            # int64 keys.
+            return sorted_keys, partners[order], sorted_keys.astype(object)
+
+        return side(rows, cols), side(cols, rows)
+
     def reconstruct(self) -> DenseMatrix:
         """Dense Mat(P) @ [L;M] @ [U V] @ Mat(Q); test/verify use."""
         field = self.packed.field

@@ -1,7 +1,12 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pluq import (
+    DenseMatrix,
+    PrimeField,
     col_rank_profile,
     gen_rank_deficient_rect,
     leading_rank_profiles,
@@ -11,7 +16,24 @@ from pluq import (
 )
 from pluq import matrix
 from pluq.oracle import all_leading_rank_profiles_naive
-from conftest import mat, random_matrix, to_matrix
+from conftest import leu_product, mat, random_matrix, to_matrix
+
+
+def mask_and_sort(f, k, t):
+    """Leading (k, t) profiles from every support, masked and sorted: the
+    reference for the sorted support index."""
+    rows, cols = f.supports
+    inside = (rows < k) & (cols < t)
+    return tuple(np.sort(rows[inside]).tolist()), tuple(np.sort(cols[inside]).tolist())
+
+
+def assert_profiles(answer, expected):
+    # `pluq rank-profile` hands the answers to json.dumps, which takes Python
+    # ints only
+    assert answer == expected
+    for profile in answer:
+        assert all(type(i) is int for i in profile)
+        assert all(a < b for a, b in zip(profile, profile[1:]))
 
 
 def test_full_rank_identity():
@@ -82,9 +104,34 @@ def test_recursive_and_iterative_profiles_coincide():
         assert sorted(zip(*fr.supports)) == sorted(zip(*fi.supports))
 
 
+@st.composite
+def shapes(draw):
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    return m, n, draw(st.integers(0, min(m, n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 1009]), shape=shapes(), seed=st.integers(0, 2**32 - 1))
+@example(p=2, shape=(1, 40, 1), seed=1)
+@example(p=1009, shape=(40, 1, 1), seed=2)
+@example(p=1009, shape=(1, 17, 0), seed=3)
+@example(p=2, shape=(0, 9, 0), seed=4)
+@example(p=1009, shape=(40, 40, 40), seed=5)
+def test_index_answers_every_leading_block_as_mask_and_sort(p, shape, seed):
+    m, n, r = shape
+    values = leu_product(np.random.default_rng(seed), m, n, p, r)[0]
+    f = pluq(DenseMatrix(PrimeField(p), values))
+    assert f.rank == r
+    for k in range(m + 1):
+        for t in range(n + 1):
+            assert_profiles(leading_rank_profiles(f, k, t), mask_and_sort(f, k, t))
+    assert_profiles((row_rank_profile(f), col_rank_profile(f)), mask_and_sort(f, m, n))
+
+
 def test_supports_are_formed_once_per_factors(monkeypatch):
-    # The pivot supports need P inverted: one factors object inverts it once,
-    # however many profile queries it answers.
+    # The pivot supports need P inverted and the sorted index needs them
+    # sorted: one factors object does each once, however many profile
+    # queries it answers.
     def factors():
         return pluq(gen_rank_deficient_rect(24, 20, 9, 101, seed=2))
 
@@ -96,5 +143,10 @@ def test_supports_are_formed_once_per_factors(monkeypatch):
     calls = []
     inverse_map = matrix._inverse_map
     monkeypatch.setattr(matrix, "_inverse_map", lambda sigma: calls.append(sigma.size) or inverse_map(sigma))
+    builds = []
+    build = matrix.PluqFactors._support_index.func
+    counted = cached_property(lambda factors: builds.append(1) or build(factors))
+    counted.__set_name__(matrix.PluqFactors, "_support_index")
+    monkeypatch.setattr(matrix.PluqFactors, "_support_index", counted)
     assert [query(f, *args) for query, args in queries] == expected
-    assert len(queries) == 100 and len(calls) <= 1
+    assert len(queries) == 100 and len(calls) <= 1 and len(builds) == 1
