@@ -27,6 +27,10 @@ _DECIMAL_CHARS = b"0123456789 \t\r\n"
 # formats this many rows at a time.
 _PANEL_ROWS = 32
 
+# One side of ``PluqFactors._support_index``: sorted keys as Python ints, as an
+# object array, their partner indices, and the partners' running maximum.
+_SortedSupports = tuple[tuple[int, ...], np.ndarray, np.ndarray, list[int]]
+
 # Widest matrix with no rows a file may declare: no row bounds n, yet Q has n entries.
 _MAX_EMPTY_WIDTH = 1 << 20
 
@@ -360,23 +364,23 @@ class PluqFactors:
         return _inverse_map(self.p_perm.sigma)[:r], self.q_perm.sigma[:r]
 
     @cached_property
-    def _support_index(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    def _support_index(self) -> tuple[_SortedSupports, _SortedSupports]:
         """The supports sorted by row, then sorted by column.  Each side is
-        (keys ascending, each pivot's index on the other side, keys as an
-        object array of Python ints), so a leading-block query is a binary
-        search and a masked prefix.  Formed on first use; the permutations
-        must not change after."""
+        (keys ascending as a tuple of Python ints, the same ints as an object
+        array, each pivot's index on the other side, the running maximum of
+        that index as a list of Python ints), so a leading-block query is a
+        binary search and then a slice, or a masked prefix.  Formed on first
+        use; the permutations must not change after."""
         rows, cols = self.supports
 
-        def side(keys: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def side(keys: np.ndarray, partners: np.ndarray) -> _SortedSupports:
             order = np.argsort(keys)
-            sorted_keys = keys[order]
-            # The keys as Python ints, made once, so that an answer selects
-            # objects and creates none.  Against masking and sorting every
-            # support per query (in-process pairs, 2 vCPUs), the query p99
-            # read 0.55-0.73 of it with these, 0.80-0.94 with tolist() on the
-            # int64 keys.
-            return sorted_keys, partners[order], sorted_keys.astype(object)
+            # Python ints made once, so that an answer selects or slices
+            # objects and creates none, and reading a maximum makes no numpy
+            # scalar.
+            key_ints = keys[order].astype(object)
+            partners = partners[order]
+            return tuple(key_ints.tolist()), key_ints, partners, np.maximum.accumulate(partners).tolist()
 
         return side(rows, cols), side(cols, rows)
 

@@ -110,22 +110,73 @@ def shapes(draw):
     return m, n, draw(st.integers(0, min(m, n)))
 
 
+SUPPORT_KINDS = ["random", "monotone", "one transposed pair", "empty"]
+
+
+def draw_support(rng, m, n, r, kind):
+    """(rows, cols) of r pivots: drawn at random; monotone, rows and columns
+    both increasing (every leading block's pivots then lead both orders, as
+    on a matrix with generic rank profile); monotone with the columns of one
+    pair of pivots swapped; or none at all."""
+    if kind == "empty":
+        r = 0
+    rows, cols = rng.choice(m, r, replace=False), rng.choice(n, r, replace=False)
+    if kind != "random":
+        rows, cols = np.sort(rows), np.sort(cols)
+    if kind == "one transposed pair" and r >= 2:
+        i, j = rng.choice(r, 2, replace=False)
+        cols[[i, j]] = cols[[j, i]]
+    return rows, cols
+
+
 @settings(max_examples=100, deadline=None)
-@given(p=st.sampled_from([2, 1009]), shape=shapes(), seed=st.integers(0, 2**32 - 1))
-@example(p=2, shape=(1, 40, 1), seed=1)
-@example(p=1009, shape=(40, 1, 1), seed=2)
-@example(p=1009, shape=(1, 17, 0), seed=3)
-@example(p=2, shape=(0, 9, 0), seed=4)
-@example(p=1009, shape=(40, 40, 40), seed=5)
-def test_index_answers_every_leading_block_as_mask_and_sort(p, shape, seed):
+@given(
+    p=st.sampled_from([2, 1009]),
+    shape=shapes(),
+    kind=st.sampled_from(SUPPORT_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=2, shape=(1, 40, 1), kind="random", seed=1)
+@example(p=1009, shape=(40, 1, 1), kind="random", seed=2)
+@example(p=1009, shape=(1, 17, 0), kind="random", seed=3)
+@example(p=2, shape=(0, 9, 0), kind="random", seed=4)
+@example(p=1009, shape=(40, 40, 40), kind="random", seed=5)
+@example(p=1009, shape=(40, 40, 40), kind="monotone", seed=6)  # the identity: generic full rank
+@example(p=2, shape=(30, 37, 19), kind="monotone", seed=7)
+@example(p=1009, shape=(33, 29, 17), kind="one transposed pair", seed=8)
+@example(p=2, shape=(25, 31, 20), kind="empty", seed=9)
+def test_index_answers_every_leading_block_as_mask_and_sort(p, shape, kind, seed):
     m, n, r = shape
-    values = leu_product(np.random.default_rng(seed), m, n, p, r)[0]
+    rng = np.random.default_rng(seed)
+    rows, cols = draw_support(rng, m, n, r, kind)
+    values = leu_product(rng, m, n, p, (rows, cols))[0]
     f = pluq(DenseMatrix(PrimeField(p), values))
-    assert f.rank == r
+    assert f.rank == rows.size
     for k in range(m + 1):
         for t in range(n + 1):
             assert_profiles(leading_rank_profiles(f, k, t), mask_and_sort(f, k, t))
     assert_profiles((row_rank_profile(f), col_rank_profile(f)), mask_and_sort(f, m, n))
+
+
+class _Unreadable:
+    """Stands in for the index's object arrays and partner indices, which
+    only the masked selection reads."""
+
+    def __getitem__(self, item):
+        raise AssertionError(f"masked selection read [{item}]")
+
+
+@pytest.mark.parametrize("m, n, r, kind", [(24, 24, 24, "identity"), (24, 17, 9, "identity"), (23, 19, 11, "monotone")])
+def test_pivots_leading_both_orders_are_answered_by_slices(m, n, r, kind):
+    rng = np.random.default_rng(m * n + r)
+    rows, cols = (np.arange(r), np.arange(r)) if kind == "identity" else draw_support(rng, m, n, r, kind)
+    f = pluq(DenseMatrix(PrimeField(1009), leu_product(rng, m, n, 1009, (rows, cols))[0]))
+    expected = {(k, t): mask_and_sort(f, k, t) for k in range(m + 1) for t in range(n + 1)}
+    f._support_index = tuple(
+        (keys, _Unreadable(), _Unreadable(), maxima) for keys, _, _, maxima in f._support_index
+    )
+    for (k, t), answer in expected.items():
+        assert_profiles(leading_rank_profiles(f, k, t), answer)
 
 
 def test_supports_are_formed_once_per_factors(monkeypatch):
