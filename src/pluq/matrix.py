@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,19 @@ _DECIMAL_CHARS = b"0123456789 \t\r\n"
 # formats this many rows at a time.
 _PANEL_ROWS = 32
 
-# One side of ``PluqFactors._support_index``: sorted keys as Python ints, as an
-# object array, their partner indices, and the partners' running maximum.
-_SortedSupports = tuple[tuple[int, ...], np.ndarray, np.ndarray, list[int]]
+
+class SortedSupports(NamedTuple):
+    """One side of ``PluqFactors._support_index``: the pivots' indices on
+    this side in ascending order (the keys), each with its pivot's index on
+    the other side (its partner)."""
+
+    keys: tuple[int, ...]  # as Python ints
+    # The same ints as an object array: a masked answer selects from it in
+    # less than half the time ``itertools.compress`` takes over ``keys``.
+    key_ints: np.ndarray
+    partners: np.ndarray
+    partner_max: list[int]  # running maximum of the partners, as Python ints
+
 
 # Widest matrix with no rows a file may declare: no row bounds n, yet Q has n entries.
 _MAX_EMPTY_WIDTH = 1 << 20
@@ -364,23 +375,21 @@ class PluqFactors:
         return _inverse_map(self.p_perm.sigma)[:r], self.q_perm.sigma[:r]
 
     @cached_property
-    def _support_index(self) -> tuple[_SortedSupports, _SortedSupports]:
-        """The supports sorted by row, then sorted by column.  Each side is
-        (keys ascending as a tuple of Python ints, the same ints as an object
-        array, each pivot's index on the other side, the running maximum of
-        that index as a list of Python ints), so a leading-block query is a
-        binary search and then a slice, or a masked prefix.  Formed on first
-        use; the permutations must not change after."""
+    def _support_index(self) -> tuple[SortedSupports, SortedSupports]:
+        """The supports sorted by row, then sorted by column, so that a
+        leading-block query is a binary search and then a slice, or a masked
+        prefix.  Formed on first use; the permutations must not change after."""
         rows, cols = self.supports
 
-        def side(keys: np.ndarray, partners: np.ndarray) -> _SortedSupports:
+        def side(keys: np.ndarray, partners: np.ndarray) -> SortedSupports:
             order = np.argsort(keys)
             # Python ints made once, so that an answer selects or slices
             # objects and creates none, and reading a maximum makes no numpy
             # scalar.
             key_ints = keys[order].astype(object)
             partners = partners[order]
-            return tuple(key_ints.tolist()), key_ints, partners, np.maximum.accumulate(partners).tolist()
+            maxima = np.maximum.accumulate(partners).tolist()
+            return SortedSupports(tuple(key_ints.tolist()), key_ints, partners, maxima)
 
         return side(rows, cols), side(cols, rows)
 

@@ -17,19 +17,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .matrix import PluqFactors, _SortedSupports
+from .matrix import PluqFactors, SortedSupports
 
 RankProfile = tuple[int, ...]
 
 
 def row_rank_profile(factors: PluqFactors) -> RankProfile:
     """Sorted row indices of the pivots: the matrix's row rank profile."""
-    return factors._support_index[0][0]
+    return factors._support_index[0].keys
 
 
 def col_rank_profile(factors: PluqFactors) -> RankProfile:
     """Sorted column indices of the pivots: the matrix's column rank profile."""
-    return factors._support_index[1][0]
+    return factors._support_index[1].keys
 
 
 def leading_rank_profiles(factors: PluqFactors, k: int, t: int) -> tuple[RankProfile, RankProfile]:
@@ -37,19 +37,19 @@ def leading_rank_profiles(factors: PluqFactors, k: int, t: int) -> tuple[RankPro
     if not (0 <= k <= factors.m and 0 <= t <= factors.n):
         raise ValueError(f"leading block ({k},{t}) out of range for {factors.m}x{factors.n}")
     by_row, by_col = factors._support_index
-    below_k, below_t = bisect_left(by_row[0], k), bisect_left(by_col[0], t)
+    below_k, below_t = bisect_left(by_row.keys, k), bisect_left(by_col.keys, t)
     # When every pivot above row k lies left of column t, the block holds
     # exactly those below_k pivots; likewise with the sides swapped.
-    if not below_k or by_row[3][below_k - 1] < t:
+    if not below_k or by_row.partner_max[below_k - 1] < t:
         inside = below_k
-    elif not below_t or by_col[3][below_t - 1] < k:
+    elif not below_t or by_col.partner_max[below_t - 1] < k:
         inside = below_t
     else:
         inside = None
     return _profile(by_row, below_k, t, inside), _profile(by_col, below_t, k, inside)
 
 
-def _profile(side: _SortedSupports, below: int, bound: int, inside: int | None) -> RankProfile:
+def _profile(side: SortedSupports, below: int, bound: int, inside: int | None) -> RankProfile:
     """One side's answer: its first ``inside`` keys when the block holds that
     many pivots and those keys' partners are all below ``bound`` (then they
     are the block's pivots), else its keys under ``below`` whose partners are

@@ -2,13 +2,13 @@
 
 Run from the repository root (pytest does not collect this file):
 
-    python tests/mutants.py [--limit SECONDS] [NAME ...]
+    python tests/mutants.py
 
 Each mutant replaces one exact text, which must occur exactly once, in a file
 under ``src/``.  For each, ``src/``, ``tests/``, ``pyproject.toml`` and
 ``README.md`` are copied to a temporary directory, the mutant is applied there
-and its test files run under a wall-clock limit.  A mutant is killed when
-pytest fails or runs past the limit.  The same tests first run on an
+and its test files run for at most ``LIMIT`` seconds.  A mutant is killed
+when pytest fails or runs past the limit.  The same tests first run on an
 unmutated copy and must pass, so a kill is the mutant's doing.  The exit
 status is 1 when a mutant survives, an old text no longer matches (a refactor
 must update this list) or the unmutated tests fail; 0 otherwise.
@@ -16,7 +16,6 @@ must update this list) or the unmutated tests fail; 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -26,6 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+LIMIT = 300  # wall-clock seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -96,15 +96,15 @@ MUTANTS = [
     Mutant(
         "pivots below row k counted up to and including k",
         "pluq/rank_profile.py",
-        "bisect_left(by_row[0], k),",
-        "bisect_left(by_row[0], k + 1),",
+        "bisect_left(by_row.keys, k),",
+        "bisect_left(by_row.keys, k + 1),",
         ("test_rank_profile.py",),
     ),
     Mutant(
         "row side leads when its largest column equals t",
         "pluq/rank_profile.py",
-        "if not below_k or by_row[3][below_k - 1] < t:",
-        "if not below_k or by_row[3][below_k - 1] <= t:",
+        "if not below_k or by_row.partner_max[below_k - 1] < t:",
+        "if not below_k or by_row.partner_max[below_k - 1] <= t:",
         ("test_rank_profile.py",),
     ),
     Mutant(
@@ -131,11 +131,11 @@ def _copy_tree(dest: Path) -> None:
         shutil.copy(ROOT / name, dest)
 
 
-def _pytest(tree: Path, tests: tuple[str, ...], limit: float) -> str:
+def _pytest(tree: Path, tests: tuple[str, ...]) -> str:
     """'passed', 'failed' or 'timed out' for the given test files in ``tree``."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *(f"tests/{t}" for t in tests)]
     try:
-        done = subprocess.run(cmd, cwd=tree, capture_output=True, timeout=limit)
+        done = subprocess.run(cmd, cwd=tree, capture_output=True, timeout=LIMIT)
     except subprocess.TimeoutExpired:
         return "timed out"
     return "passed" if done.returncode == 0 else "failed"
@@ -149,25 +149,17 @@ def _apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--limit", type=float, default=300.0, help="wall-clock seconds per pytest run (default 300)")
-    parser.add_argument("names", nargs="*", help="run only the mutants with these names (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no mutant named {sorted(unknown)}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     start = time.perf_counter()
     bad = 0
     with tempfile.TemporaryDirectory(prefix="pluq-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy_tree(clean)
-        for tests in sorted({t for m in mutants for t in m.tests}):
-            outcome = _pytest(clean, (tests,), args.limit)
+        for tests in sorted({t for m in MUTANTS for t in m.tests}):
+            outcome = _pytest(clean, (tests,))
             print(f"unmutated      {tests}: {outcome}", flush=True)
             bad += outcome != "passed"
-        for i, mutant in enumerate(mutants):
+        for i, mutant in enumerate(MUTANTS):
             tree = Path(tmp) / f"mutant-{i}"
             _copy_tree(tree)
             try:
@@ -177,12 +169,12 @@ def main(argv=None) -> int:
                 bad += 1
                 continue
             t0 = time.perf_counter()
-            outcome = _pytest(tree, mutant.tests, args.limit)
+            outcome = _pytest(tree, mutant.tests)
             verdict = "SURVIVED" if outcome == "passed" else "killed"
             print(f"{verdict:14s} {mutant.name}: tests {outcome} ({time.perf_counter() - t0:.1f} s)", flush=True)
             bad += outcome == "passed"
             shutil.rmtree(tree)
-    print(f"{len(mutants)} mutants, {bad} problems, {time.perf_counter() - start:.0f} s")
+    print(f"{len(MUTANTS)} mutants, {bad} problems, {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 
 
