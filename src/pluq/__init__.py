@@ -13,13 +13,9 @@ from .matrix import DenseMatrix, OpCounts, Permutation, PluqFactors
 from .oracle import (
     LeadingProfileTable,
     PleFactors,
-    all_leading_rank_profiles_naive,
-    col_rank_profile_naive,
     ple_row_major,
     r_ple_recurrence,
     r_pluq_closed_form,
-    rank_naive,
-    row_rank_profile_naive,
 )
 from .rank_profile import col_rank_profile, leading_rank_profiles, row_rank_profile
 from .recursive import DEFAULT_THRESHOLD, TrackingWorkspace, pluq, pluq_iterative
@@ -37,10 +33,8 @@ __all__ = [
     "PluqFactors",
     "PrimeField",
     "TrackingWorkspace",
-    "all_leading_rank_profiles_naive",
     "check_triangular_extension",
     "col_rank_profile",
-    "col_rank_profile_naive",
     "gen_full_rank_generic",
     "gen_rank_deficient_rect",
     "inverse_mod",
@@ -51,8 +45,6 @@ __all__ = [
     "pluq_iterative",
     "r_ple_recurrence",
     "r_pluq_closed_form",
-    "rank_naive",
     "row_rank_profile",
-    "row_rank_profile_naive",
     "to_leu",
 ]

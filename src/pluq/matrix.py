@@ -195,7 +195,7 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n} mod {self.p})"
 
     def leading_submatrix(self, k: int, t: int) -> "DenseMatrix":
-        """Copy of the leading k x t block (oracle-side use)."""
+        """Copy of the leading k x t block (the CLI's wide generic inputs)."""
         if not (0 <= k <= self.m and 0 <= t <= self.n):
             raise ValueError(f"leading block ({k},{t}) out of range for {self.m}x{self.n}")
         return DenseMatrix._unchecked(self.field, self.data[:k, :t].copy())

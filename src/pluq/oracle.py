@@ -1,10 +1,10 @@
 """Independent brute-force references for ranks, profiles, and counts.
 
-Nothing here shares elimination logic with the production algorithms: ranks
-and rank profiles come from a plain greedy Gaussian scan, and the row-major
-elimination reference (`ple_row_major`) is a separate block recursion used to
-compare modular-reduction counts against the closed-form/recurrence
-evaluators.
+Nothing here shares elimination logic with the production algorithms: the
+rank and every leading rank profile come from a plain greedy Gaussian scan
+(`LeadingProfileTable`), and the row-major elimination reference
+(`ple_row_major`) is a separate block recursion used to compare
+modular-reduction counts against the closed-form/recurrence evaluators.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ def _reduce_against(row: np.ndarray, basis: list[tuple[int, np.ndarray]], p: int
     return cur
 
 def _greedy_profile(rows: np.ndarray, p: int) -> tuple[int, ...]:
-    """Indices kept by the greedy scan: take a row iff it grows the rank."""
+    """Indices kept by the greedy scan: take a row iff it grows the rank.
+    They are the lexicographically smallest independent row set (greedy =
+    matroid optimum), so the rows' rank profile."""
     basis: list[tuple[int, np.ndarray]] = []
     kept = []
     for idx in range(rows.shape[0]):
@@ -41,29 +43,6 @@ def _greedy_profile(rows: np.ndarray, p: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def rank_naive(a: DenseMatrix) -> int:
-    return len(_greedy_profile(np.asarray(a.data, dtype=np.int64), a.p))
-
-
-def row_rank_profile_naive(a: DenseMatrix) -> tuple[int, ...]:
-    """Lexicographically smallest independent row set (greedy = matroid optimum)."""
-    return _greedy_profile(np.asarray(a.data, dtype=np.int64), a.p)
-
-
-def col_rank_profile_naive(a: DenseMatrix) -> tuple[int, ...]:
-    return _greedy_profile(np.asarray(a.data.T, dtype=np.int64), a.p)
-
-
-def all_leading_rank_profiles_naive(a: DenseMatrix) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Greedy profiles of every leading (k, t) block; O(m*n) scans, desk scale."""
-    out = {}
-    for k in range(a.m + 1):
-        for t in range(a.n + 1):
-            sub = a.leading_submatrix(k, t)
-            out[(k, t)] = (row_rank_profile_naive(sub), col_rank_profile_naive(sub))
-    return out
-
-
 class LeadingProfileTable:
     """All leading (k, t) profiles from m + n + 2 greedy scans.
 
@@ -71,6 +50,7 @@ class LeadingProfileTable:
     columns up to t, so the (k, t) row profile is the full-height profile of
     the first t columns truncated below k (and symmetrically for columns).
     The equivalence with the per-block greedy scan is covered by tests.
+    ``rank`` is the whole matrix's rank.
     """
 
     def __init__(self, a: DenseMatrix):
@@ -78,6 +58,7 @@ class LeadingProfileTable:
         p = a.p
         self._rows_by_t = [_greedy_profile(data[:, :t], p) for t in range(a.n + 1)]
         self._cols_by_k = [_greedy_profile(data[:k, :].T, p) for k in range(a.m + 1)]
+        self.rank = len(self._rows_by_t[-1])
 
     def rows(self, k: int, t: int) -> tuple[int, ...]:
         return tuple(i for i in self._rows_by_t[t] if i < k)

@@ -15,6 +15,7 @@ a query costs O(log r + output).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 
 from .matrix import PluqFactors, SortedSupports
@@ -34,6 +35,10 @@ def col_rank_profile(factors: PluqFactors) -> RankProfile:
 
 def leading_rank_profiles(factors: PluqFactors, k: int, t: int) -> tuple[RankProfile, RankProfile]:
     """Row and column rank profiles of the leading k x t submatrix."""
+    try:  # any integer type, numpy's included; a float would bisect as a bound
+        k, t = operator.index(k), operator.index(t)
+    except TypeError:
+        raise ValueError(f"leading block bounds must be integers, got ({k!r}, {t!r})") from None
     if not (0 <= k <= factors.m and 0 <= t <= factors.n):
         raise ValueError(f"leading block ({k},{t}) out of range for {factors.m}x{factors.n}")
     by_row, by_col = factors._support_index

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pluq import DEFAULT_THRESHOLD, DenseMatrix, PrimeField
+from pluq.oracle import _greedy_profile
 
 # Wall-clock limit per test; the slowest test takes under 10 s, so a test
 # that reaches it hangs (say, a pivot search that never ends).
@@ -53,6 +54,20 @@ def mat(rows, p):
 def random_matrix(rng, m, n, p):
     field = PrimeField(p)
     return DenseMatrix(field, rng.integers(0, p, size=(m, n), dtype=np.int64))
+
+
+def greedy_leading_profiles(a):
+    """{(k, t): (row profile, column profile)} of every leading block of
+    ``a``, each from its own greedy scan of the block's rows and of its
+    columns: the per-block reference that the decomposition and
+    ``LeadingProfileTable``'s truncated full-height scans are checked
+    against."""
+    data, p = np.asarray(a.data, dtype=np.int64), a.p
+    return {
+        (k, t): (_greedy_profile(data[:k, :t], p), _greedy_profile(data[:k, :t].T, p))
+        for k in range(a.m + 1)
+        for t in range(a.n + 1)
+    }
 
 
 def limb_product(left, right, p):

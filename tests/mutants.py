@@ -121,6 +121,20 @@ MUTANTS = [
         "partner_max[inside - 1] <= bound",
         ("test_rank_profile.py",),
     ),
+    Mutant(
+        "oracle row profile keeps row k",
+        "pluq/oracle.py",
+        "for i in self._rows_by_t[t] if i < k)",
+        "for i in self._rows_by_t[t] if i <= k)",
+        ("test_oracle.py",),
+    ),
+    Mutant(
+        "greedy scan skips the newest basis row",
+        "pluq/oracle.py",
+        "for lead, vec in basis:",
+        "for lead, vec in basis[:-1]:",
+        ("test_oracle.py",),
+    ),
 ]
 
 

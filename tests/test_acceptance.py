@@ -21,7 +21,6 @@ from pluq import (
     OpCounts,
     PrimeField,
     TrackingWorkspace,
-    all_leading_rank_profiles_naive,
     check_triangular_extension,
     gen_full_rank_generic,
     gen_rank_deficient_rect,
@@ -35,6 +34,7 @@ from pluq import (
 )
 from pluq.cli import main as cli_main
 from pluq.oracle import LeadingProfileTable
+from conftest import greedy_leading_profiles
 
 P = 1009
 SIZES = [1, 2, 3, 5, 8, 16, 33, 64, 128]
@@ -103,7 +103,7 @@ def test_criterion_02_rank_profiles_exhaustive_and_random(fixture_32):
         for entries in itertools.product(range(2), repeat=m * n):
             arr = np.array(entries, dtype=field.dtype).reshape(m, n)
             orig = DenseMatrix(field, arr.copy())
-            oracle = all_leading_rank_profiles_naive(orig)
+            oracle = greedy_leading_profiles(orig)
             for factors in (
                 pluq(DenseMatrix(field, arr.copy()), threshold=1),
                 pluq_iterative(DenseMatrix(field, arr.copy())),

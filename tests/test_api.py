@@ -30,10 +30,6 @@ DOCUMENTED_API = {
     "gen_full_rank_generic",
     "gen_rank_deficient_rect",
     # oracles, reference elimination and cost models
-    "rank_naive",
-    "row_rank_profile_naive",
-    "col_rank_profile_naive",
-    "all_leading_rank_profiles_naive",
     "LeadingProfileTable",
     "ple_row_major",
     "PleFactors",

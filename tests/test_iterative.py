@@ -5,19 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from pluq import (
     DenseMatrix,
+    LeadingProfileTable,
     OpCounts,
     Permutation,
     PrimeField,
-    all_leading_rank_profiles_naive,
     leading_rank_profiles,
     pluq,
     pluq_iterative,
-    rank_naive,
 )
 from pluq.field import inverse_mod
 from pluq.kernels import ClassicalKernels
 from pluq.recursive import _Ctx, _decompose_inplace
-from conftest import is_identity, mat, random_matrix
+from conftest import greedy_leading_profiles, is_identity, mat, random_matrix
 
 
 def _ctx(kernels, counts):
@@ -85,7 +84,7 @@ def test_exhaustive_3x3_f2_profiles():
         a = mat([list(entries[0:3]), list(entries[3:6]), list(entries[6:9])], 2)
         orig = a.copy()
         f = pluq_iterative(a)
-        oracle = all_leading_rank_profiles_naive(orig)
+        oracle = greedy_leading_profiles(orig)
         assert f.reconstruct() == orig
         for (k, t), expected in oracle.items():
             assert leading_rank_profiles(f, k, t) == expected, (entries, k, t)
@@ -104,7 +103,7 @@ def test_random_reconstruction_and_rank(p, m, n, seed):
     f = pluq_iterative(a)
     assert f.reconstruct() == orig
     assert not f.check_structure()
-    assert f.rank == rank_naive(orig)
+    assert f.rank == LeadingProfileTable(orig).rank
 
 
 def test_determinism():

@@ -6,29 +6,26 @@ import pytest
 from pluq import (
     LeadingProfileTable,
     OpCounts,
-    all_leading_rank_profiles_naive,
-    col_rank_profile_naive,
     gen_full_rank_generic,
     gen_rank_deficient_rect,
     ple_row_major,
     r_ple_recurrence,
     r_pluq_closed_form,
-    rank_naive,
-    row_rank_profile_naive,
 )
-from conftest import mat, random_matrix
+from conftest import greedy_leading_profiles, mat, random_matrix
 
 
-def test_rank_naive_trivial():
-    assert rank_naive(mat([[0, 0], [0, 0]], 5)) == 0
-    assert rank_naive(mat(np.eye(4), 5)) == 4
-    assert rank_naive(mat([[1, 2], [2, 4]], 5)) == 1  # row 2 = 2 * row 1
+def test_table_rank_trivial():
+    assert LeadingProfileTable(mat([[0, 0], [0, 0]], 5)).rank == 0
+    assert LeadingProfileTable(mat(np.eye(4), 5)).rank == 4
+    assert LeadingProfileTable(mat([[1, 2], [2, 4]], 5)).rank == 1  # row 2 = 2 * row 1
 
 
 def test_profiles_trivial():
-    assert row_rank_profile_naive(mat(np.eye(3), 2)) == (0, 1, 2)
-    assert row_rank_profile_naive(mat([[0, 0], [0, 1]], 2)) == (1,)
-    assert col_rank_profile_naive(mat([[0, 0], [0, 1]], 2)) == (1,)
+    assert LeadingProfileTable(mat(np.eye(3), 2)).rows(3, 3) == (0, 1, 2)
+    table = LeadingProfileTable(mat([[0, 0], [0, 1]], 2))
+    assert table.rows(2, 2) == (1,)
+    assert table.cols(2, 2) == (1,)
 
 
 def _independent(rows_subset, p):
@@ -51,8 +48,9 @@ def test_greedy_profile_is_lexicographically_minimal_exhaustive():
     for m, n in [(2, 2), (3, 3)]:
         for entries in itertools.product(range(2), repeat=m * n):
             a = mat([list(entries[i * n : (i + 1) * n]) for i in range(m)], 2)
-            profile = row_rank_profile_naive(a)
-            r = rank_naive(a)
+            table = LeadingProfileTable(a)
+            profile = table.rows(m, n)
+            r = table.rank
             assert len(profile) == r
             candidates = [
                 s
@@ -65,22 +63,23 @@ def test_greedy_profile_is_lexicographically_minimal_exhaustive():
 def test_profile_lengths_equal_rank():
     rng = np.random.default_rng(15)
     for _ in range(30):
-        a = random_matrix(rng, int(rng.integers(0, 7)), int(rng.integers(0, 7)), 3)
-        r = rank_naive(a)
-        assert len(row_rank_profile_naive(a)) == r
-        assert len(col_rank_profile_naive(a)) == r
+        m, n = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+        table = LeadingProfileTable(random_matrix(rng, m, n, 3))
+        assert len(table.rows(m, n)) == table.rank
+        assert len(table.cols(m, n)) == table.rank
 
 
 def test_all_leading_trivial_bounds():
     a = gen_rank_deficient_rect(4, 4, 2, 3, seed=2)
-    table = all_leading_rank_profiles_naive(a)
-    assert table[(0, 3)] == ((), ())
-    assert table[(4, 4)] == (row_rank_profile_naive(a), col_rank_profile_naive(a))
+    per_block = greedy_leading_profiles(a)
+    table = LeadingProfileTable(a)
+    assert per_block[(0, 3)] == ((), ())
+    assert per_block[(4, 4)] == (table.rows(4, 4), table.cols(4, 4))
     # profile length is monotone in both block dimensions
     for k in range(4):
         for t in range(4):
-            assert len(table[(k, t)][0]) <= len(table[(k + 1, t)][0])
-            assert len(table[(k, t)][0]) <= len(table[(k, t + 1)][0])
+            assert len(per_block[(k, t)][0]) <= len(per_block[(k + 1, t)][0])
+            assert len(per_block[(k, t)][0]) <= len(per_block[(k, t + 1)][0])
 
 
 def test_fast_table_matches_literal_oracle():
@@ -88,8 +87,9 @@ def test_fast_table_matches_literal_oracle():
     for _ in range(15):
         m, n = (int(x) for x in rng.integers(1, 7, 2))
         a = random_matrix(rng, m, n, 5)
-        literal = all_leading_rank_profiles_naive(a)
+        literal = greedy_leading_profiles(a)
         table = LeadingProfileTable(a)
+        assert table.rank == len(literal[(m, n)][0])
         for (k, t), (rows, cols) in literal.items():
             assert table.rows(k, t) == rows
             assert table.cols(k, t) == cols
@@ -126,8 +126,9 @@ def test_ple_reconstruction_and_column_profile():
         r = int(rng.integers(0, min(m, n) + 1))
         a = gen_rank_deficient_rect(m, n, r, 101, int(rng.integers(0, 2**32)))
         f = ple_row_major(a)
-        assert f.rank == rank_naive(a)
-        assert tuple(sorted(f.pivot_cols)) == col_rank_profile_naive(a)
+        table = LeadingProfileTable(a)
+        assert f.rank == table.rank
+        assert tuple(sorted(f.pivot_cols)) == table.cols(m, n)
         product = a.field.matmul_mod(f.lower, f.echelon)
         restored = product[f.p_perm.sigma, :]
         assert np.array_equal(restored, a.data)

@@ -15,8 +15,7 @@ from pluq import (
     row_rank_profile,
 )
 from pluq import matrix
-from pluq.oracle import all_leading_rank_profiles_naive
-from conftest import leu_product, mat, random_matrix, to_matrix
+from conftest import greedy_leading_profiles, leu_product, mat, random_matrix, to_matrix
 
 
 def mask_and_sort(f, k, t):
@@ -64,11 +63,23 @@ def test_leading_full_equals_whole_matrix():
         leading_rank_profiles(f, 7, 0)
 
 
+def test_leading_bounds_must_be_integers():
+    f = pluq(gen_rank_deficient_rect(6, 6, 3, 101, seed=2))
+    for bad in (2.5, "2", None):
+        with pytest.raises(ValueError, match="integers"):
+            leading_rank_profiles(f, bad, 6)
+        with pytest.raises(ValueError, match="integers"):
+            leading_rank_profiles(f, 6, bad)
+    # numpy integers and bool are integers
+    assert_profiles(leading_rank_profiles(f, np.int64(2), np.uint8(6)), leading_rank_profiles(f, 2, 6))
+    assert leading_rank_profiles(f, True, 6) == leading_rank_profiles(f, 1, 6)
+
+
 def test_6x6_rank3_all_pairs_vs_oracle():
     a = gen_rank_deficient_rect(6, 6, 3, 3, seed=11)
     orig = a.copy()
     f = pluq(a)
-    oracle = all_leading_rank_profiles_naive(orig)
+    oracle = greedy_leading_profiles(orig)
     for (k, t), expected in oracle.items():
         assert leading_rank_profiles(f, k, t) == expected
 
